@@ -415,7 +415,12 @@ def cmd_lincomb(args) -> int:
             if not np.any(combo_matrix @ coeffs != 0.0):
                 continue
             for p in p_values:
-                exact = exact_m(combo_matrix, coeffs, p)
+                try:
+                    # overflow is reported once, as the DataError below
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        exact = exact_m(combo_matrix, coeffs, p)
+                except ValueError as exc:
+                    raise DataError(f"cannot compute M({p:g}): {exc}") from exc
                 per_p[p]["exact"].append(exact)
                 if samples > 0:
                     sampler = CombinationSampler(

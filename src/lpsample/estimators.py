@@ -141,14 +141,8 @@ def estimate_trace_inner_product(
     p = matrix_tree.p
     xv = _gather(x, rows)
     yv = _gather(y, cols)
-    signs = np.empty(total_samples)
-    weight = np.ones(total_samples)
-    for j in np.unique(cols):
-        where = cols == j
-        tree = matrix_tree.column_trees[j]
-        signs[where] = tree.leaf_signs[rows[where]]
-        if p != 1.0:
-            weight[where] = tree.leaf_magnitudes[rows[where]] ** ((1.0 - p) / p)
+    signs = matrix_tree.leaf_signs[rows, cols]
+    weight = 1.0 if p == 1.0 else matrix_tree.leaf_magnitudes[rows, cols] ** ((1.0 - p) / p)
     values = total_power * signs * weight * xv * yv
     estimate = _median_of_means(values, groups, per_group)
     return EstimateReport(

@@ -104,31 +104,45 @@ class MpCurvePoint:
     theory_m: float | None
 
 
-def exact_m(A, x, p: float) -> float:
-    """Closed-form expected proposals per accepted sample,
-    ``n^(p-1) * sum_ij |x_j A_ij|^p / sum_i |(Ax)_i|^p``.
-    """
+def _combination_inputs(A, x) -> tuple[np.ndarray, np.ndarray]:
     A = np.asarray(A, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     if A.ndim != 2 or x.ndim != 1 or A.shape[1] != x.size:
         raise ValueError("A must be (m, n) and x length n")
+    return A, x
+
+
+# Both functions check only their sums of |.|^p terms: a non-finite entry of
+# A or x reaches those as inf or nan (0 * inf is nan), so the same check that
+# catches overflow also rejects non-finite input.
+_NOT_FINITE = "A and x must be finite, and |.|^p must not overflow"
+
+
+def exact_m(A, x, p: float) -> float:
+    """Closed-form expected proposals per accepted sample,
+    ``n^(p-1) * sum_ij |x_j A_ij|^p / sum_i |(Ax)_i|^p``.
+    """
+    A, x = _combination_inputs(A, x)
     n = x.size
     combo = A @ x
     denominator = float(np.sum(np.abs(combo) ** p))
+    numerator = float(np.abs(x) ** p @ np.sum(np.abs(A) ** p, axis=0))
+    if not (math.isfinite(numerator) and math.isfinite(denominator)):
+        raise ValueError(_NOT_FINITE)
     if denominator == 0.0:
         raise ValueError("Ax is zero: the target distribution is undefined")
-    numerator = float(np.abs(x) ** p @ np.sum(np.abs(A) ** p, axis=0))
     return n ** (p - 1.0) * numerator / denominator
 
 
 def acceptance_ratios(A, x, p: float) -> np.ndarray:
     """Per-row acceptance ratio r_i; rows no proposal can reach are zero."""
-    A = np.asarray(A, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
+    A, x = _combination_inputs(A, x)
     n = x.size
     weighted = np.abs(A * x) ** p
     denom = n ** (p - 1.0) * weighted.sum(axis=1)
     num = np.abs(A @ x) ** p
+    if not (np.all(np.isfinite(denom)) and np.all(np.isfinite(num))):
+        raise ValueError(_NOT_FINITE)
     out = np.zeros(A.shape[0])
     reachable = denom > 0.0
     out[reachable] = num[reachable] / denom[reachable]
@@ -220,10 +234,7 @@ class CombinationSampler:
         chunk = max(256, min(1 << 18, 2 * count))
         while got < count:
             cols = self._proposal_tree.sample_indices(rng, chunk)
-            rows = np.empty(chunk, dtype=np.int64)
-            for j in np.unique(cols):
-                where = cols == j
-                rows[where] = self._mt.column_trees[j].sample_indices(rng, int(where.sum()))
+            rows = self._mt.sample_rows(cols, rng)
             keep = rng.random(chunk) < ratios[rows]
             kept = rows[keep]
             take = min(count - got, kept.size)

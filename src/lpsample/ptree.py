@@ -5,8 +5,12 @@ and every internal node holds the sum of its two children, so the root equals
 ``sum_i |x_i|**p``.  Sampling an index with probability ``|x_i|**p / root``,
 updating one entry, and reading an entry or the root are all O(log n).
 
-The matrix variant keeps one vector tree per column plus a top-level tree
-over the column p-norm powers, giving two-level (column, row) sampling.
+The matrix variant is a layout of one vector tree: the entries in
+column-major order, each column padded to a power-of-two stride, so every
+column is a complete subtree and the levels above the column roots form the
+column-norm tree.  Drawing an entry is one descent from the root (a column by
+its p-norm power, then a row within it); drawing a row of a given column is a
+descent from that column's root.
 
 Trees are single-writer: concurrent sampling and queries are safe only while
 no update runs; nothing here synchronizes internally.  Parallel experiment
@@ -143,6 +147,9 @@ class WeightedVectorTree:
     def query_entry(self, i: int) -> float:
         """Signed entry ``sign_i * magnitude_i**(1/p)``."""
         self._check_index(i)
+        return self._entry(i)
+
+    def _entry(self, i: int) -> float:
         mag = self._nodes[self._capacity - 1 + i]
         s = int(self._signs[i])
         if s == 0:
@@ -180,31 +187,38 @@ class WeightedVectorTree:
         and going left iff it falls below the left child's value, so
         zero-weight subtrees are never entered.
         """
-        nodes = self._nodes
-        if nodes[0] <= 0.0:
+        if self._nodes[0] <= 0.0:
             raise EmptyDistributionError("all entries are zero")
-        idx = 0
-        visits = 1
-        last = 2 * self._capacity - 2
-        while 2 * idx + 1 <= last:
-            left = 2 * idx + 1
-            u = rng.random() * nodes[idx]
-            idx = left if u < nodes[left] else left + 1
-            visits += 1
-        self.last_op_visits = visits
-        return idx - (self._capacity - 1)
+        index = self._descend(rng, 0, self._depth)
+        self.last_op_visits = self._depth + 1
+        return index
 
     def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Vectorized :meth:`sample_index`: draw ``size`` independent indices."""
-        nodes = self._nodes
-        if nodes[0] <= 0.0:
+        if self._nodes[0] <= 0.0:
             raise EmptyDistributionError("all entries are zero")
-        idx = np.zeros(size, dtype=np.int64)
-        here = np.full(size, nodes[0])
-        for _ in range(self._depth):
+        return self._descend_many(rng, np.zeros(size, dtype=np.int64), self._depth)
+
+    def _descend(self, rng: np.random.Generator, node: int, levels: int) -> int:
+        """Walk ``levels`` levels down from ``node`` to a leaf; return its index.
+
+        One uniform per level; the caller checks that ``node`` has weight.
+        """
+        nodes = self._nodes
+        for _ in range(levels):
+            left = 2 * node + 1
+            node = left if rng.random() * nodes[node] < nodes[left] else left + 1
+        return node - (self._capacity - 1)
+
+    def _descend_many(self, rng: np.random.Generator, start: np.ndarray, levels: int) -> np.ndarray:
+        """Vectorized :meth:`_descend` from each node in ``start``, one array draw per level."""
+        nodes = self._nodes
+        idx = start
+        here = nodes[start]
+        for _ in range(levels):
             left = 2 * idx + 1
             left_val = nodes[left]
-            go_left = rng.random(size) * here < left_val
+            go_left = rng.random(idx.size) * here < left_val
             idx = np.where(go_left, left, left + 1)
             here = np.where(go_left, left_val, nodes[left + 1])
         return idx - (self._capacity - 1)
@@ -230,12 +244,9 @@ class WeightedVectorTree:
         else:
             sign = 1 if value > 0 else -1
         self._signs[i] = sign
-        self._set_leaf_magnitude(i, mag)
-
-    def _set_leaf_magnitude(self, i: int, magnitude: float) -> None:
         nodes = self._nodes
         idx = self._capacity - 1 + i
-        nodes[idx] = magnitude
+        nodes[idx] = mag
         visits = 1
         # each ancestor is recomputed from its children, keeping parent sums
         # exact (no incremental-delta drift)
@@ -308,14 +319,19 @@ class WeightedVectorTree:
 
 
 class WeightedMatrixTree:
-    """Two-level sampling structure: per-column trees plus a column-norm tree.
+    """Matrix sampling structure: one vector tree over the entries in column-major order.
 
-    Leaf j of the top tree holds the root of column tree j, so a column is
-    drawn with probability proportional to its p-norm power and a row within
-    it from the column's own distribution.
+    Column j occupies leaves ``j * stride .. j * stride + m - 1``, where the
+    stride is m rounded up to a power of two; the padding rows below each
+    column hold zero.  Column j is then the complete subtree rooted at node
+    ``C - 1 + j`` (C is n rounded up to a power of two), whose value is the
+    column's p-norm power, and the levels above those roots form the
+    column-norm tree.  One descent from the root therefore draws a column with
+    probability proportional to its p-norm power and a row within it from the
+    column's own distribution.
     """
 
-    __slots__ = ("_p", "_m", "_n", "column_trees", "column_norm_tree")
+    __slots__ = ("_m", "_n", "_stride", "_row_levels", "_column_root", "_tree")
 
     def __init__(self, entries, p: float):
         entries = np.asarray(entries, dtype=np.float64)
@@ -324,88 +340,106 @@ class WeightedMatrixTree:
         m, n = entries.shape
         if m == 0 or n == 0:
             raise ValueError("matrix must have at least one row and one column")
-        self._p = _check_exponent(p)
+        stride = _capacity_for(m)
+        columns = np.zeros((n, stride))
+        columns[:, :m] = entries.T
+        self._tree = WeightedVectorTree(columns.reshape(-1), p)
         self._m = m
         self._n = n
-        self.column_trees = [WeightedVectorTree(entries[:, j], self._p) for j in range(n)]
-        roots = np.array([t.query_pnorm_power() for t in self.column_trees])
-        self.column_norm_tree = WeightedVectorTree._from_magnitudes(
-            roots, (roots > 0).astype(np.int8), self._p
-        )
+        self._stride = stride
+        self._row_levels = stride.bit_length() - 1
+        self._column_root = _capacity_for(n) - 1
 
     @property
     def p(self) -> float:
-        return self._p
+        return self._tree.p
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self._m, self._n)
 
+    @property
+    def leaf_magnitudes(self) -> np.ndarray:
+        """(m, n) view of the leaf values ``|A_ij|**p`` (do not mutate)."""
+        return self._grid(self._tree.leaf_magnitudes)
+
+    @property
+    def leaf_signs(self) -> np.ndarray:
+        """(m, n) view of the entry signs in {-1, 0, +1} (do not mutate)."""
+        return self._grid(self._tree.leaf_signs)
+
+    def _grid(self, leaves: np.ndarray) -> np.ndarray:
+        return leaves.reshape(self._n, self._stride)[:, : self._m].T
+
     def total_pnorm_power(self) -> float:
         """Sum over columns of the column p-norm powers."""
-        return self.column_norm_tree.query_pnorm_power()
+        return self._tree.query_pnorm_power()
 
     def column_pnorm_power(self, j: int) -> float:
-        return self.column_trees[j].query_pnorm_power()
+        self._check_column(j)
+        return float(self._tree._nodes[self._column_root + j])
 
     def query_entry(self, i: int, j: int) -> float:
-        return self.column_trees[j].query_entry(i)
-
-    def sample_column(self, rng: np.random.Generator) -> int:
-        return self.column_norm_tree.sample_index(rng)
+        # no helper call for the bounds check: CombinationSampler.sample calls
+        # this n times per proposal
+        if not (0 <= i < self._m and 0 <= j < self._n):
+            raise IndexError(f"entry ({i}, {j}) out of range for shape {self.shape}")
+        return self._tree._entry(j * self._stride + i)
 
     def sample_row(self, j: int, rng: np.random.Generator) -> int:
-        return self.column_trees[j].sample_index(rng)
+        """Draw a row of column j with probability ``|A_ij|**p / ||A^(j)||_p^p``."""
+        self._check_column(j)
+        node = self._column_root + j
+        if self._tree._nodes[node] <= 0.0:
+            raise EmptyDistributionError(f"column {j} is all zero")
+        return self._tree._descend(rng, node, self._row_levels) - j * self._stride
+
+    def sample_rows(self, cols, rng: np.random.Generator) -> np.ndarray:
+        """Vectorized :meth:`sample_row`: one row drawn for each column in ``cols``."""
+        cols = np.asarray(cols, dtype=np.int64)
+        if np.any((cols < 0) | (cols >= self._n)):
+            raise IndexError(f"column index out of range for {self._n} columns")
+        nodes = self._column_root + cols
+        if np.any(self._tree._nodes[nodes] <= 0.0):
+            raise EmptyDistributionError("a requested column is all zero")
+        return self._tree._descend_many(rng, nodes, self._row_levels) - cols * self._stride
 
     def sample_entry(self, rng: np.random.Generator) -> tuple[int, int]:
-        j = self.sample_column(rng)
-        return self.sample_row(j, rng), j
+        j, i = divmod(self._tree.sample_index(rng), self._stride)
+        return i, j
 
     def sample_entries(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw ``size`` (row, column) pairs; columns are batched per unique j."""
-        cols = self.column_norm_tree.sample_indices(rng, size)
-        rows = np.empty(size, dtype=np.int64)
-        for j in np.unique(cols):
-            where = cols == j
-            rows[where] = self.column_trees[j].sample_indices(rng, int(where.sum()))
+        """Draw ``size`` (row, column) pairs in one vectorized descent from the root."""
+        cols, rows = np.divmod(self._tree.sample_indices(rng, size), self._stride)
         return rows, cols
 
     def update_entry(self, i: int, j: int, value: float) -> None:
-        """Set A[i, j] and refresh both the column tree and the top tree."""
-        if not 0 <= j < self._n:
-            raise IndexError(f"column {j} out of range for {self._n} columns")
-        tree = self.column_trees[j]
-        tree.update_entry(i, value)
-        root = tree.query_pnorm_power()
-        self.column_norm_tree._signs[j] = 1 if root > 0 else 0
-        self.column_norm_tree._set_leaf_magnitude(j, root)
+        """Set A[i, j] and refresh the sums along its root path."""
+        if not (0 <= i < self._m and 0 <= j < self._n):
+            raise IndexError(f"entry ({i}, {j}) out of range for shape {self.shape}")
+        self._tree.update_entry(j * self._stride + i, value)
 
     def entry_probabilities(self) -> np.ndarray:
         """(m, n) matrix of entry sampling probabilities ``|A_ij|**p / total``."""
         total = self.total_pnorm_power()
         if total <= 0.0:
             raise EmptyDistributionError("all entries are zero")
-        out = np.empty((self._m, self._n))
-        for j, tree in enumerate(self.column_trees):
-            out[:, j] = tree.leaf_magnitudes
-        return out / total
+        return self.leaf_magnitudes / total
 
     def dense(self) -> np.ndarray:
-        """Signed entries reconstructed column by column."""
-        out = np.empty((self._m, self._n))
-        for j, tree in enumerate(self.column_trees):
-            out[:, j] = tree.entries()
-        return out
+        """Signed entries reconstructed from the leaves, as a new (m, n) array."""
+        return self._grid(self._tree.entries())
 
     def audit(self, rel_tol: float = 1e-9) -> None:
-        for tree in self.column_trees:
-            tree.audit(rel_tol)
-        self.column_norm_tree.audit(rel_tol)
-        roots = np.array([t.query_pnorm_power() for t in self.column_trees])
-        leaves = self.column_norm_tree.leaf_magnitudes
-        tol = rel_tol * np.maximum(np.abs(roots), 1.0)
-        if np.any(np.abs(roots - leaves) > tol):
-            raise TreeAuditError("column-norm leaves disagree with column roots")
+        """Check the vector tree's invariants and that every padding row is zero."""
+        self._tree.audit(rel_tol)
+        padding = self._tree.leaf_magnitudes.reshape(self._n, self._stride)[:, self._m :]
+        if np.any(padding != 0.0):
+            raise TreeAuditError("padding rows must stay zero")
+
+    def _check_column(self, j: int) -> None:
+        if not 0 <= j < self._n:
+            raise IndexError(f"column {j} out of range for {self._n} columns")
 
 
 def build_vector_tree(values, p: float) -> WeightedVectorTree:
@@ -414,5 +448,5 @@ def build_vector_tree(values, p: float) -> WeightedVectorTree:
 
 
 def build_matrix_tree(entries, p: float) -> WeightedMatrixTree:
-    """Build the two-level p-norm sampling structure over a dense matrix."""
+    """Build the column-major p-norm sampling tree over a dense matrix."""
     return WeightedMatrixTree(entries, p)

@@ -192,6 +192,19 @@ class TestLincomb:
         assert code == EXIT_DATA
 
 
+    @pytest.mark.parametrize("samples", [50, 0])
+    def test_overflowing_entry_is_data_error(self, tmp_path, capsys, samples):
+        mtx = tmp_path / "big.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1e200\n")
+        out = tmp_path / "lc.json"
+        code = run(["lincomb", "--matrix", mtx, "--p", 2, "--n-users", 1, "--trials", 2,
+                    "--samples-per-trial", samples, "--out", out])
+        assert code == EXIT_DATA
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not out.exists()
+
+
 class TestDfe:
     def test_run_records_and_summary(self, tmp_path):
         out = tmp_path / "dfe"

@@ -54,6 +54,30 @@ class TestExactM:
         with pytest.raises(ValueError):
             exact_m(np.array([[1.0, -1.0]]), np.array([1.0, 1.0]), 2.0)
 
+    @pytest.mark.parametrize(
+        "A,x",
+        [
+            ([[1e200, 0.0]], [1.0, 1.0]),  # |A_ij|^2 overflows
+            ([[1.0, 1.0]], [1e200, 0.0]),  # |x_j|^2 overflows
+            ([[math.inf, 1.0]], [0.0, 1.0]),
+            ([[math.nan, 1.0]], [1.0, 1.0]),
+            ([[1.0, 0.0]], [1.0, math.inf]),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_and_overflow_rejected(self, A, x):
+        with pytest.raises(ValueError):
+            exact_m(A, x, 2.0)
+        with pytest.raises(ValueError):
+            acceptance_ratios(A, x, 2.0)
+
+    def test_acceptance_ratios_shape_checked(self):
+        with pytest.raises(ValueError):
+            acceptance_ratios(np.ones((2, 3)), np.ones(1), 1.0)
+        with pytest.raises(ValueError):
+            acceptance_ratios(np.ones(3), np.ones(3), 1.0)
+
     def test_holder_probes(self):
         # 10^5 row-level probes of r_i <= 1 and M >= 1 across random p in [1, 3]
         rng = stream(43, 0)

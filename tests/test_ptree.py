@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lpsample.lincomb import CombinationSampler
 from lpsample.ptree import (
     EmptyDistributionError,
     TreeAuditError,
@@ -221,19 +222,23 @@ class TestSerialization:
             WeightedVectorTree.from_bytes(tree.to_bytes()[:-1])
 
 
+def column_probabilities(mt):
+    return [mt.column_pnorm_power(j) / mt.total_pnorm_power() for j in range(mt.shape[1])]
+
+
 class TestMatrixTree:
     def test_column_probabilities_p1(self):
         mt = build_matrix_tree([[1, 0], [0, 2]], 1)
-        assert mt.column_norm_tree.probabilities().tolist() == [1 / 3, 2 / 3]
+        assert column_probabilities(mt) == [1 / 3, 2 / 3]
 
     def test_column_probabilities_p2(self):
         mt = build_matrix_tree([[1, 0], [0, 2]], 2)
-        assert mt.column_norm_tree.probabilities().tolist() == [1 / 5, 4 / 5]
+        assert column_probabilities(mt) == [1 / 5, 4 / 5]
 
     def test_update_zeroes_column(self):
         mt = build_matrix_tree([[1, 0], [0, 2]], 1)
         mt.update_entry(0, 0, 0)
-        assert mt.column_norm_tree.probabilities().tolist() == [0.0, 1.0]
+        assert column_probabilities(mt) == [0.0, 1.0]
         mt.audit()
 
     def test_update_keeps_norm_tree_exact(self):
@@ -273,3 +278,115 @@ class TestMatrixTree:
         assert mt.query_entry(0, 1) == pytest.approx(-3.0)
         assert mt.column_pnorm_power(1) == pytest.approx(13.0)
         assert mt.total_pnorm_power() == pytest.approx(14.0)
+
+    @pytest.mark.parametrize("i,j", [(0, -1), (-1, 0), (-1, -1), (3, 0), (0, 3), (0, 4)])
+    def test_out_of_range_indices_rejected(self, i, j):
+        # shape (3, 3): row 3 is a padding row and column 3 a padding column
+        mt = build_matrix_tree([[1, 5, 0], [2, 7, 1], [3, 0, 2]], 1)
+        with pytest.raises(IndexError):
+            mt.query_entry(i, j)
+        with pytest.raises(IndexError):
+            mt.update_entry(i, j, 1.0)
+        if not 0 <= j < 3:
+            with pytest.raises(IndexError):
+                mt.column_pnorm_power(j)
+            with pytest.raises(IndexError):
+                mt.sample_row(j, stream(0, 0))
+            with pytest.raises(IndexError):
+                mt.sample_rows([0, j], stream(0, 0))
+        mt.audit()
+        assert mt.dense().tolist() == [[1, 5, 0], [2, 7, 1], [3, 0, 2]]
+
+    def test_sample_rows_follow_each_column(self):
+        A = np.array([[1.0, 0.0, 3.0], [2.0, 0.0, -1.0], [0.0, 0.0, 4.0]])
+        mt = build_matrix_tree(A, 1)
+        cols = np.repeat([0, 2], 50_000)
+        rows = mt.sample_rows(cols, stream(29, 0))
+        for j in (0, 2):
+            freq = np.bincount(rows[cols == j], minlength=3) / 50_000
+            assert tv_distance(freq, np.abs(A[:, j]) / np.abs(A[:, j]).sum()) < 0.01
+        with pytest.raises(EmptyDistributionError):
+            mt.sample_rows([0, 1], stream(0, 0))
+
+    def test_audit_detects_nonzero_padding_row(self):
+        mt = build_matrix_tree([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], 1)
+        mt.audit()
+        # leaf 3 is the padding row below column 0; the sums stay consistent
+        mt._tree.update_entry(3, 1.0)
+        with pytest.raises(TreeAuditError):
+            mt.audit()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.data(),
+        st.integers(1, 9),
+        st.integers(1, 9),
+        st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    )
+    def test_flat_layout_tracks_reference_under_updates(self, data, m, n, p):
+        value = st.integers(-400, 400).map(lambda k: k / 8)
+        A = np.array(data.draw(st.lists(value, min_size=m * n, max_size=m * n))).reshape(m, n)
+        steps = data.draw(
+            st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1), value), max_size=25)
+        )
+        mt = build_matrix_tree(A, p)
+        rng = stream(31, 10 * m + n)
+        for i, j, v in steps:
+            mt.update_entry(i, j, v)
+            A[i, j] = v
+            if mt.total_pnorm_power() > 0.0:
+                rows, cols = mt.sample_entries(rng, 8)
+                assert np.all(A[rows, cols] != 0.0)
+        weights = np.abs(A) ** p
+        np.testing.assert_allclose(mt.dense(), A, rtol=1e-12)
+        for j in range(n):
+            assert mt.column_pnorm_power(j) == pytest.approx(weights[:, j].sum(), rel=1e-12)
+        if weights.sum() > 0.0:
+            np.testing.assert_allclose(mt.entry_probabilities(), weights / weights.sum(), rtol=1e-12)
+        else:
+            with pytest.raises(EmptyDistributionError):
+                mt.entry_probabilities()
+        mt.audit()
+
+    # first draws for stream (2024, 0) and (2024, 1), recorded with the
+    # per-column implementation; the scalar paths must keep reproducing them
+    GOLDEN = {
+        1.0: (
+            [(3, 2), (2, 1), (4, 2), (2, 1), (2, 2), (2, 1), (2, 1), (0, 0)],
+            [3, 2, 3, 0, 1, 3],
+            [(1, 1, 9), (1, 1, 9), (3, 1, 9), (4, 1, 9), (4, 2, 12), (3, 1, 9)],
+        ),
+        1.5: (
+            [(3, 2), (2, 1), (4, 2), (2, 1), (2, 2), (2, 1), (2, 1), (0, 0)],
+            [3, 2, 3, 0, 0, 3],
+            [(1, 1, 9), (4, 3, 15), (3, 3, 15), (1, 2, 12), (2, 1, 9), (2, 3, 15)],
+        ),
+        2.0: (
+            [(3, 2), (2, 1), (4, 2), (2, 1), (3, 2), (2, 1), (2, 1), (0, 0)],
+            [3, 2, 3, 2, 3, 3],
+            [(1, 1, 9), (4, 3, 15), (3, 3, 15), (1, 2, 12), (2, 1, 9), (4, 5, 21)],
+        ),
+    }
+
+    @pytest.mark.parametrize("p", sorted(GOLDEN))
+    def test_scalar_streams_golden(self, p):
+        A = np.array([[1.0, -2.0, 0.0], [0.5, 0.0, 3.0], [0.0, 4.0, -1.0],
+                      [2.5, -0.25, 0.0], [0.0, 1.0, 2.0]])
+        mt = build_matrix_tree(A, p)
+        mt.update_entry(3, 2, -1.75)
+        rng = stream(2024, 0)
+        entries = [mt.sample_entry(rng) for _ in range(8)]
+        rows = [mt.sample_row(j, rng) for j in (0, 1, 2, 1, 0, 2)]
+        sampler = CombinationSampler(mt, [0.5, -1.0, 2.0])
+        rng = stream(2024, 1)
+        results = [sampler.sample(rng) for _ in range(6)]
+        assert (entries, rows, [(r.index, r.iterations, r.queries) for r in results]) == self.GOLDEN[p]
+
+    def test_node_values_golden(self):
+        A = np.array([[1.0, -2.0, 0.0], [0.5, 0.0, 3.0], [0.0, 4.0, -1.0],
+                      [2.5, -0.25, 0.0], [0.0, 1.0, 2.0]])
+        mt = build_matrix_tree(A, 1.5)
+        mt.update_entry(3, 2, -1.75)
+        got = [mt.column_pnorm_power(j).hex() for j in range(3)] + [mt.total_pnorm_power().hex()]
+        assert got == ["0x1.539c10b306cd0p+2", "0x1.7e827999fcef3p+3", "0x1.6ade19de71226p+3",
+                       "0x1.c9974de8f8bc1p+4"]
