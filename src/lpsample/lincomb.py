@@ -172,8 +172,7 @@ class CombinationSampler:
         if not np.all(np.isfinite(self._x)):
             raise ValueError("coefficients must be finite")
 
-        col_powers = np.array([matrix_tree.column_pnorm_power(j) for j in range(n)])
-        weights = np.abs(self._x) ** self._p * col_powers
+        weights = np.abs(self._x) ** self._p * matrix_tree.column_pnorm_powers()
         if not np.any(weights > 0):
             raise EmptyDistributionError("every term x_j * column_j is zero")
         self._proposal_tree = WeightedVectorTree._from_magnitudes(
@@ -206,10 +205,7 @@ class CombinationSampler:
             iterations += 1
             j = self._proposal_tree.sample_index(rng)
             i = mt.sample_row(j, rng)
-            row = np.fromiter(
-                (mt.query_entry(i, jj) for jj in range(n)), dtype=np.float64, count=n
-            )
-            terms = self._x * row
+            terms = self._x * mt.query_row(i)
             denominator = float(np.sum(np.abs(terms) ** self._p))
             ratio = abs(float(terms.sum())) ** self._p / (self._scale * denominator)
             if rng.random() < ratio:

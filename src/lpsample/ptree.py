@@ -62,6 +62,15 @@ def _magnitudes(values: np.ndarray, p: float) -> np.ndarray:
     return np.abs(values) ** p
 
 
+def _signed_values(magnitudes: np.ndarray, signs: np.ndarray, p: float) -> np.ndarray:
+    """Signed entries ``sign * magnitude**(1/p)`` from leaves, as a new array."""
+    if p == 2.0:
+        magnitudes = np.sqrt(magnitudes)
+    elif p != 1.0:
+        magnitudes = magnitudes ** (1.0 / p)
+    return magnitudes * signs
+
+
 class WeightedVectorTree:
     """Complete binary tree over ``|x_i|**p`` with signs, padded to a power of two.
 
@@ -162,14 +171,7 @@ class WeightedVectorTree:
 
     def entries(self) -> np.ndarray:
         """All signed entries reconstructed from the leaves, as a new array."""
-        mags = self.leaf_magnitudes
-        if self._p == 1.0:
-            vals = mags.copy()
-        elif self._p == 2.0:
-            vals = np.sqrt(mags)
-        else:
-            vals = mags ** (1.0 / self._p)
-        return vals * self._signs
+        return _signed_values(self.leaf_magnitudes, self._signs, self._p)
 
     def probabilities(self) -> np.ndarray:
         """Sampling distribution over indices, ``|x_i|**p / root``."""
@@ -194,7 +196,11 @@ class WeightedVectorTree:
         return index
 
     def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Vectorized :meth:`sample_index`: draw ``size`` independent indices."""
+        """Draw ``size`` independent indices, each with probability ``|x_i|**p / root``.
+
+        Same distribution as :meth:`sample_index`, not the same stream: one
+        uniform per draw (see :meth:`_descend_many`) instead of one per level.
+        """
         if self._nodes[0] <= 0.0:
             raise EmptyDistributionError("all entries are zero")
         return self._descend_many(rng, np.zeros(size, dtype=np.int64), self._depth)
@@ -211,17 +217,37 @@ class WeightedVectorTree:
         return node - (self._capacity - 1)
 
     def _descend_many(self, rng: np.random.Generator, start: np.ndarray, levels: int) -> np.ndarray:
-        """Vectorized :meth:`_descend` from each node in ``start``, one array draw per level."""
+        """Draw one leaf ``levels`` levels below each node in ``start``; return entry indices.
+
+        An inverse-CDF walk: each draw takes one uniform, scaled by its start
+        node's value, and at every level goes right iff it is at least the
+        left child's value, subtracting that value as it goes, so each output
+        depends on its own uniform only.  Rounding in the subtractions can
+        carry a draw past its subtree's total into a zero leaf; such draws
+        are made again, in draw order.  The caller checks that every start
+        node has weight.
+        """
         nodes = self._nodes
-        idx = start
-        here = nodes[start]
+        idx = start.copy()
+        u = rng.random(idx.size)
+        u *= nodes[idx]
+        left = np.empty_like(u)
+        go_right = np.empty(u.size, dtype=bool)
         for _ in range(levels):
-            left = 2 * idx + 1
-            left_val = nodes[left]
-            go_left = rng.random(idx.size) * here < left_val
-            idx = np.where(go_left, left, left + 1)
-            here = np.where(go_left, left_val, nodes[left + 1])
-        return idx - (self._capacity - 1)
+            idx *= 2
+            idx += 1
+            np.take(nodes, idx, out=left)
+            np.greater_equal(u, left, out=go_right)
+            # u - left where going right, u - 0.0 (exactly u) elsewhere; a
+            # masked subtract (where=) is several times slower
+            np.multiply(left, go_right, out=left)
+            u -= left
+            idx += go_right
+        stray = np.flatnonzero(nodes[idx] == 0.0)
+        idx -= self._capacity - 1
+        if stray.size:
+            idx[stray] = self._descend_many(rng, start[stray], levels)
+        return idx
 
     # -- mutation ------------------------------------------------------------
 
@@ -379,12 +405,22 @@ class WeightedMatrixTree:
         self._check_column(j)
         return float(self._tree._nodes[self._column_root + j])
 
+    def column_pnorm_powers(self) -> np.ndarray:
+        """All n column p-norm powers, as a new array."""
+        return self._tree._nodes[self._column_root : self._column_root + self._n].copy()
+
     def query_entry(self, i: int, j: int) -> float:
-        # no helper call for the bounds check: CombinationSampler.sample calls
-        # this n times per proposal
         if not (0 <= i < self._m and 0 <= j < self._n):
             raise IndexError(f"entry ({i}, {j}) out of range for shape {self.shape}")
         return self._tree._entry(j * self._stride + i)
+
+    def query_row(self, i: int) -> np.ndarray:
+        """Signed entries of row i, as a new length-n array (n entry queries)."""
+        if not 0 <= i < self._m:
+            raise IndexError(f"row {i} out of range for {self._m} rows")
+        tree = self._tree
+        row = slice(i, None, self._stride)
+        return _signed_values(tree.leaf_magnitudes[row], tree.leaf_signs[row], tree.p)
 
     def sample_row(self, j: int, rng: np.random.Generator) -> int:
         """Draw a row of column j with probability ``|A_ij|**p / ||A^(j)||_p^p``."""
@@ -395,7 +431,11 @@ class WeightedMatrixTree:
         return self._tree._descend(rng, node, self._row_levels) - j * self._stride
 
     def sample_rows(self, cols, rng: np.random.Generator) -> np.ndarray:
-        """Vectorized :meth:`sample_row`: one row drawn for each column in ``cols``."""
+        """Draw one row for each column in ``cols``, from that column's distribution.
+
+        Same distribution as :meth:`sample_row`, not the same stream: one
+        uniform per draw, walked down from the column's root.
+        """
         cols = np.asarray(cols, dtype=np.int64)
         if np.any((cols < 0) | (cols >= self._n)):
             raise IndexError(f"column index out of range for {self._n} columns")

@@ -110,3 +110,16 @@ def quad_gaussian_abs_moment(sigma, p):
 def quad_abs_moment(pdf, lo, hi, p):
     value, _ = integrate.quad(lambda t: abs(t) ** p * pdf(t), lo, hi, limit=200)
     return value
+
+
+# -- inverse-CDF index draws -------------------------------------------------------
+
+
+def inverse_cdf_indices(weights, u):
+    """Index drawn for each uniform in ``u`` by inverting the cumulative weights.
+
+    Index i is returned for ``u * total`` in ``[cumsum[i-1], cumsum[i])``, so
+    zero weights are skipped.  With integer weights every sum is exact.
+    """
+    weights = np.asarray(weights, dtype=float)
+    return np.searchsorted(np.cumsum(weights), np.asarray(u) * weights.sum(), side="right")

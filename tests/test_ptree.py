@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lpsample.lincomb import CombinationSampler
 from lpsample.ptree import (
@@ -16,7 +16,7 @@ from lpsample.ptree import (
 )
 from lpsample.randkit import stream
 
-from oracles import tv_distance
+from oracles import inverse_cdf_indices, tv_distance
 
 
 class TestBuild:
@@ -96,6 +96,78 @@ class TestSampling:
         tree = build_vector_tree([1.0, 0.0, 0.0, 2.0, 0.0], 1)
         idx = tree.sample_indices(stream(11, 0), 20_000)
         assert set(np.unique(idx)) == {0, 3}
+
+
+class _EdgeFirst:
+    """Generator stand-in whose first ``random(size)`` is all 1.0, the upper
+    edge that rounding can carry a scaled uniform to; later calls go to a real
+    stream."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._first = True
+
+    def random(self, size=None):
+        if self._first:
+            self._first = False
+            return np.ones(size)
+        return self._rng.random(size)
+
+
+class TestInverseCdfDescent:
+    """The vectorised descent is an inverse-CDF draw: with integer weights every
+    partial sum is exact, so it must agree with the oracle draw for draw."""
+
+    values = st.lists(st.integers(-9, 9), min_size=1, max_size=40)
+
+    @settings(max_examples=60, deadline=None)
+    @given(values, st.sampled_from([1.0, 2.0, 3.0]), st.integers(0, 1 << 16), st.integers(1, 300))
+    def test_sample_indices_match_oracle(self, values, p, key, size):
+        weights = np.abs(np.array(values, dtype=float)) ** p
+        assume(weights.sum() > 0.0)
+        tree = build_vector_tree(values, p)
+        got = tree.sample_indices(stream(41, key), size)
+        np.testing.assert_array_equal(got, inverse_cdf_indices(weights, stream(41, key).random(size)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 9), st.integers(1, 7), st.sampled_from([1.0, 2.0, 3.0]),
+           st.integers(0, 1 << 16), st.integers(1, 200))
+    def test_matrix_draws_match_oracle(self, data, m, n, p, key, size):
+        A = np.array(data.draw(st.lists(st.integers(-9, 9), min_size=m * n, max_size=m * n)), dtype=float)
+        A = A.reshape(m, n)
+        weights = np.abs(A) ** p
+        nonzero = np.flatnonzero(weights.sum(axis=0) > 0.0)
+        assume(nonzero.size > 0)
+        mt = build_matrix_tree(A, p)
+
+        rows, cols = mt.sample_entries(stream(43, key), size)
+        flat = inverse_cdf_indices(weights.T.reshape(-1), stream(43, key).random(size))
+        np.testing.assert_array_equal(cols * m + rows, flat)
+
+        cols = nonzero[stream(44, key).integers(nonzero.size, size=size)]
+        rows = mt.sample_rows(cols, stream(45, key))
+        u = stream(45, key).random(size)
+        expected = np.empty(size, dtype=np.int64)
+        for j in nonzero:
+            expected[cols == j] = inverse_cdf_indices(weights[:, j], u[cols == j])
+        np.testing.assert_array_equal(rows, expected)
+
+    def test_edge_uniforms_are_redrawn_off_zero_leaves(self):
+        # entries 1, 3, 4 are zero and leaves 5..7 are padding; a uniform of
+        # 1.0 walks right past the last positive leaf
+        tree = build_vector_tree([1.0, 0.0, 2.0, 0.0, 0.0], 1)
+        idx = tree.sample_indices(_EdgeFirst(stream(47, 0)), 500)
+        assert np.all((idx >= 0) & (idx < len(tree)))
+        assert np.all(tree.leaf_magnitudes[idx] > 0.0)
+
+        # m = 3: row 3 of every column is a padding leaf
+        A = np.array([[1.0, 0.0], [2.0, 3.0], [0.0, 0.0]])
+        mt = build_matrix_tree(A, 1.5)
+        rows, cols = mt.sample_entries(_EdgeFirst(stream(47, 1)), 500)
+        assert np.all(rows < 3) and np.all(A[rows, cols] != 0.0)
+        cols = np.tile([0, 1], 250)
+        rows = mt.sample_rows(cols, _EdgeFirst(stream(47, 2)))
+        assert np.all(rows < 3) and np.all(A[rows, cols] != 0.0)
 
 
 class TestUpdate:
@@ -278,6 +350,23 @@ class TestMatrixTree:
         assert mt.query_entry(0, 1) == pytest.approx(-3.0)
         assert mt.column_pnorm_power(1) == pytest.approx(13.0)
         assert mt.total_pnorm_power() == pytest.approx(14.0)
+        assert mt.column_pnorm_powers().tolist() == [mt.column_pnorm_power(j) for j in range(2)]
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_query_row_matches_query_entry(self, p):
+        A = stream(53, 0).normal(size=(5, 3))
+        A[1, 2] = 0.0
+        A[4] = 0.0
+        mt = build_matrix_tree(A, p)
+        mt.update_entry(2, 1, -0.5)
+        for i in range(5):
+            expected = [mt.query_entry(i, j) for j in range(3)]
+            # NumPy's vector power and Python's scalar power may round apart by an ulp
+            np.testing.assert_allclose(mt.query_row(i), expected, rtol=1e-15, atol=0.0)
+        # row 5 is a padding row (stride 8), rows 8 and -1 lie outside the layout
+        for i in (-1, 5, 8):
+            with pytest.raises(IndexError):
+                mt.query_row(i)
 
     @pytest.mark.parametrize("i,j", [(0, -1), (-1, 0), (-1, -1), (3, 0), (0, 3), (0, 4)])
     def test_out_of_range_indices_rejected(self, i, j):
