@@ -1,28 +1,35 @@
 """Experiment command-line harness.
 
-Every command resolves its parameters as flags > config file (JSON) >
-defaults, writes machine-readable outputs (CSV for grids, JSON/JSONL for
-per-run records), and drops a replayable manifest next to each output.
-Numeric outputs are byte-reproducible for a fixed seed; timestamps live only
-in the manifest.
+The five commands that write files run through one runner, ``_run``: it loads
+``--config``, resolves the seed and every optional parameter (flag > config
+key under the flag's dest name, parsed like the flag's text > the command's
+declared default), calls ``cmd_<name>`` (which only computes and returns
+``{path: text}``), writes those files, then a replayable
+``<out>.manifest.json`` whose ``params`` hold every resolved parameter, the
+input source included. A command that raises writes no file. Numeric outputs
+are byte-reproducible for a fixed seed; timestamps live only in the manifest.
 
-Exit codes: 0 success, 2 usage, 3 data error, 4 internal invariant violation.
+Exit codes: 0 success; 2 usage (a bad flag, a count or probability out of
+range, neither or both of --matrix/--synthetic); 3 data error (a bad config
+value included); 4 internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .dfe import TargetState, bound_comparison, depolarizing, no_noise, run_dfe
+from .dfe import NoiseModel, TargetState, bound_comparison, depolarizing, no_noise, run_dfe
 from .estimators import error_scale, estimate_inner_product
 from .lincomb import (
     CombinationSampler,
@@ -43,16 +50,41 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
+# namespace entries that are plumbing, not parameters of the computation
+_NOT_PARAMS = {"command", "func", "declared", "config", "seed", "out"}
+
 
 class DataError(Exception):
     """Input data made the requested computation impossible."""
 
 
-def _dist_arg(text: str) -> DistributionSpec:
-    try:
-        return parse_distribution(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _arg_type(parse):
+    """Report a parser's ``ValueError`` as an argparse usage error (exit 2)."""
+
+    def wrapped(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return wrapped
+
+
+def _bounded(convert, ok, what: str):
+    @_arg_type
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise ValueError(f"must be {what}, got {value}")
+        return value
+
+    return parse
+
+
+_count = _bounded(int, lambda v: v >= 1, ">= 1")  # trials, runs
+_size = _bounded(int, lambda v: v >= 0, ">= 0")  # pairs, samples per trial
+_probability = _bounded(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")  # epsilon, delta
+_dist_arg = _arg_type(parse_distribution)
 
 
 def _p_grid_arg(text: str) -> list[float]:
@@ -70,25 +102,21 @@ def _p_grid_arg(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad p grid {text!r}; use start:stop:step") from None
 
 
+@_arg_type
 def _target_arg(text: str) -> TargetState:
     kind, _, num = text.partition(":")
-    try:
-        return TargetState(kind.strip().lower(), int(num))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return TargetState(kind.strip().lower(), int(num))
 
 
-def _noise_arg(text: str):
+@_arg_type
+def _noise_arg(text: str) -> NoiseModel:
     kind, _, num = text.partition(":")
     kind = kind.strip().lower()
-    try:
-        if kind == "none":
-            return no_noise()
-        if kind == "depolarizing":
-            return depolarizing(float(num))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    raise argparse.ArgumentTypeError(f"unknown noise {text!r}")
+    if kind == "none":
+        return no_noise()
+    if kind == "depolarizing":
+        return depolarizing(float(num))
+    raise ValueError(f"unknown noise {text!r}")
 
 
 def _synthetic_arg(text: str) -> dict:
@@ -115,12 +143,43 @@ def _synthetic_arg(text: str) -> dict:
     return spec
 
 
+def _jsonable(value):
+    """A resolved parameter as JSON; parsed specs go back to their flag text."""
+    if isinstance(value, list):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _jsonable(v) for key, v in value.items()}
+    if isinstance(value, DistributionSpec):
+        return value.label()
+    if isinstance(value, TargetState):
+        return f"{value.kind}:{value.n}"
+    if isinstance(value, NoiseModel):
+        return value.kind if value.kind == "none" else f"{value.kind}:{value.lam!r}"
+    return value
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _csv(header: list[str], rows: list[list]) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows([header, *rows])
+    return buffer.getvalue()
+
+
+def _fmt(value) -> str:
+    return "" if value is None else str(value)  # str(float) is its shortest round-trip repr
+
+
+# -- runner -----------------------------------------------------------------------
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            config = json.load(handle)
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
@@ -128,92 +187,77 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _resolve_seed(args, config: dict) -> int:
-    if args.seed is not None:
-        return args.seed
-    if "seed" in config:
-        return int(config["seed"])
-    env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else 0
-
-
-def _resolve(args, config: dict, name: str, default):
-    value = getattr(args, name)
-    if value is not None:
+def _from_config(action: argparse.Action, value):
+    """Parse a config value like the flag's text (each element, for a list flag)."""
+    if action.type is None:  # a switch such as --full takes a JSON boolean
+        if not isinstance(value, bool):
+            raise ValueError(f"expected true or false, got {value!r}")
         return value
-    if name in config:
-        return config[name]
-    return default
+    if action.nargs is None:
+        return action.type(str(value))
+    return [action.type(str(v)) for v in (value if isinstance(value, list) else [value])]
 
 
-def _write_manifest(out_path: Path, command: str, params: dict, seed: int, outputs: list[str],
-                    started: float) -> None:
+def _declare(parser: argparse.ArgumentParser, func, **defaults) -> None:
+    """Bind a command and its optional flags' defaults, resolved in order after the seed:
+    a value, a function of the namespace, or ``None`` (the flag or config must set it)."""
+    actions = {action.dest: action for action in parser._actions}
+    defaults = {"seed": lambda args: int(os.environ.get(SEED_ENV_VAR) or 0), **defaults}
+    parser.set_defaults(func=func, declared={dest: (actions[dest], d) for dest, d in defaults.items()})
+
+
+def _run(args) -> int:
+    """Resolve parameters, run ``args.func``, then write its files and the manifest."""
+    config = _load_config(args.config)
+    for dest, (action, default) in args.declared.items():
+        if getattr(args, dest) is not None:
+            continue
+        if dest in config:
+            try:
+                value = _from_config(action, config[dest])
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                raise DataError(f"bad {dest!r} in config: {exc}") from None
+        else:
+            value = default(args) if callable(default) else default
+        if value is None:
+            flag = action.option_strings[0]
+            raise DataError(f"no {dest} given: pass {flag} or set {dest!r} in the config")
+        setattr(args, dest, value)
+
+    started = time.time()
+    files = args.func(args)
+    for path, text in files.items():
+        path.write_text(text, encoding="utf-8", newline="")
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
-        "command": command,
-        "params": params,
-        "seed": seed,
+        "command": args.command,
+        "params": {k: _jsonable(v) for k, v in vars(args).items() if k not in _NOT_PARAMS},
+        "seed": args.seed,
         "started_at": started,
         "finished_at": time.time(),
-        "outputs": outputs,
+        "outputs": [str(path) for path in files],
     }
-    path = out_path.with_name(out_path.name + ".manifest.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    out = Path(args.out)
+    out.with_name(out.name + ".manifest.json").write_text(_json(manifest), encoding="utf-8")
+    return EXIT_OK
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _load_input_matrix(args) -> SparseMatrix:
+    if args.matrix is not None:
+        return load_matrix(args.matrix)
+    spec = args.synthetic
+    rng = stream(args.seed, 2_000_000_000)
+    return synthetic_sparse(spec["m"], spec["n"], spec["density"], spec["dist"], rng)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+# -- commands: each returns the text of every file it writes, keyed by path -------
 
 
-def _load_input_matrix(args, seed: int) -> SparseMatrix:
-    if getattr(args, "matrix", None):
-        try:
-            return load_matrix(args.matrix)
-        except OSError as exc:
-            raise DataError(f"cannot read {args.matrix}: {exc}") from exc
-    if getattr(args, "synthetic", None):
-        spec = args.synthetic
-        rng = stream(seed, 2_000_000_000)
-        return synthetic_sparse(spec["m"], spec["n"], spec["density"], spec["dist"], rng)
-    raise DataError("provide either --matrix or --synthetic")
-
-
-# -- commands -------------------------------------------------------------------
-
-
-def cmd_mp_curve(args) -> int:
-    config = _load_config(args.config)
-    seed = _resolve_seed(args, config)
-    trials = _resolve(args, config, "trials", 100)
-    m = _resolve(args, config, "m", 256)
-    dist = args.dist if args.dist is not None else config.get("dist")
-    if dist is None:
-        raise DataError("no distribution given: pass --dist or set 'dist' in the config")
-    if isinstance(dist, str):
-        try:
-            dist = parse_distribution(dist)
-        except ValueError as exc:
-            raise DataError(f"bad 'dist' in config: {exc}") from None
-    args.dist = dist
-    started = time.time()
-
+def cmd_mp_curve(args) -> dict[Path, str]:
     rows = []
     for n in args.n:
-        points = mp_curve(m, n, args.dist, args.p_grid, trials, seed)
+        points = mp_curve(args.m, n, args.dist, args.p_grid, args.trials, args.seed)
         for pt in points:
             bias = ""
             if pt.theory_m is not None:
@@ -225,45 +269,22 @@ def cmd_mp_curve(args) -> int:
             rows.append(
                 [pt.p, pt.n, pt.m, pt.trials, _fmt(pt.mean_m), _fmt(pt.stderr_m), _fmt(pt.theory_m), bias]
             )
-    out = Path(args.out)
-    _write_csv(out, ["p", "n", "m", "trials", "mean_M", "stderr_M", "theory_M", "theory_bias"], rows)
-    _write_manifest(
-        out,
-        "mp-curve",
-        {
-            "dist": args.dist.label(),
-            "m": m,
-            "n": list(args.n),
-            "p_grid": args.p_grid,
-            "trials": trials,
-            "schema_version": SCHEMA_VERSION,
-        },
-        seed,
-        [str(out)],
-        started,
-    )
-    return EXIT_OK
+    header = ["p", "n", "m", "trials", "mean_M", "stderr_M", "theory_M", "theory_bias"]
+    return {Path(args.out): _csv(header, rows)}
 
 
-def cmd_ratio_table(args) -> int:
-    config = _load_config(args.config)
-    seed = _resolve_seed(args, config)
-    # desk-scale defaults keep CI fast; --full restores the reference scale
-    trials = _resolve(args, config, "trials", 1000 if args.full else 100)
-    m = _resolve(args, config, "m", 1024 if args.full else 256)
-    started = time.time()
+def cmd_ratio_table(args) -> dict[Path, str]:
     coeff_spec = normal(0.0, 1.0)
-
     rows = []
     for dist in args.dists:
         for n in args.n_list:
-            report = run_ratio_experiment(m, n, dist, coeff_spec, trials, seed)
+            report = run_ratio_experiment(args.m, n, dist, coeff_spec, args.trials, args.seed)
             rows.append(
                 [
                     dist.label(),
                     n,
-                    m,
-                    trials,
+                    args.m,
+                    args.trials,
                     _fmt(report.m1.exact),
                     _fmt(report.m1.stderr),
                     _fmt(report.m2.exact),
@@ -274,40 +295,21 @@ def cmd_ratio_table(args) -> int:
                     "outside-theory" if report.outside_theory else "",
                 ]
             )
-    out = Path(args.out)
-    _write_csv(
-        out,
-        [
-            "distribution",
-            "n",
-            "m",
-            "trials",
-            "mean_M1",
-            "stderr_M1",
-            "mean_M2",
-            "stderr_M2",
-            "mean_ratio",
-            "stderr_ratio",
-            "redraws",
-            "theory_note",
-        ],
-        rows,
-    )
-    _write_manifest(
-        out,
-        "ratio-table",
-        {
-            "dists": [d.label() for d in args.dists],
-            "m": m,
-            "n_list": list(args.n_list),
-            "trials": trials,
-            "schema_version": SCHEMA_VERSION,
-        },
-        seed,
-        [str(out)],
-        started,
-    )
-    return EXIT_OK
+    header = [
+        "distribution",
+        "n",
+        "m",
+        "trials",
+        "mean_M1",
+        "stderr_M1",
+        "mean_M2",
+        "stderr_M2",
+        "mean_ratio",
+        "stderr_ratio",
+        "redraws",
+        "theory_note",
+    ]
+    return {Path(args.out): _csv(header, rows)}
 
 
 def _eligible_pairs(dense: np.ndarray, pairs: int, min_overlap: int, rng) -> list[tuple[int, int]]:
@@ -332,25 +334,18 @@ def _eligible_pairs(dense: np.ndarray, pairs: int, min_overlap: int, rng) -> lis
     return found
 
 
-def cmd_inner_product(args) -> int:
-    config = _load_config(args.config)
-    seed = _resolve_seed(args, config)
-    epsilon = _resolve(args, config, "epsilon", 0.1)
-    delta = _resolve(args, config, "delta", 0.1)
-    pairs = _resolve(args, config, "pairs", 20)
-    min_overlap = _resolve(args, config, "min_overlap", 50)
-    p = _resolve(args, config, "p", 1.0)
-    started = time.time()
-
-    matrix = _load_input_matrix(args, seed)
+def cmd_inner_product(args) -> dict[Path, str]:
+    matrix = _load_input_matrix(args)
     dense = matrix.to_dense()
     records = []
-    if pairs > 0:
-        rng = stream(seed, 1_000_000_000)
-        for k, (a, b) in enumerate(_eligible_pairs(dense, pairs, min_overlap, rng)):
+    if args.pairs > 0:
+        rng = stream(args.seed, 1_000_000_000)
+        for k, (a, b) in enumerate(_eligible_pairs(dense, args.pairs, args.min_overlap, rng)):
             x, y = dense[a], dense[b]
-            tree = WeightedVectorTree(x, p)
-            report = estimate_inner_product(tree, y, epsilon, delta, stream(seed, k), compute_scale=False)
+            tree = WeightedVectorTree(x, args.p)
+            report = estimate_inner_product(
+                tree, y, args.epsilon, args.delta, stream(args.seed, k), compute_scale=False
+            )
             scale1 = error_scale(x, y, 1.0)
             scale2 = error_scale(x, y, 2.0)
             records.append(
@@ -373,48 +368,36 @@ def cmd_inner_product(args) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "params": {
-            "p": p,
-            "epsilon": epsilon,
-            "delta": delta,
-            "pairs": pairs,
-            "min_overlap": min_overlap,
+            "p": args.p,
+            "epsilon": args.epsilon,
+            "delta": args.delta,
+            "pairs": args.pairs,
+            "min_overlap": args.min_overlap,
             "matrix": {"m": matrix.m, "n": matrix.n, "nnz": matrix.nnz},
         },
         "records": records,
         "aggregate": aggregate,
     }
-    out = Path(args.out)
-    with open(out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    _write_manifest(out, "inner-product", payload["params"], seed, [str(out)], started)
-    return EXIT_OK
+    return {Path(args.out): _json(payload)}
 
 
-def cmd_lincomb(args) -> int:
-    config = _load_config(args.config)
-    seed = _resolve_seed(args, config)
-    trials = _resolve(args, config, "trials", 20)
-    samples = _resolve(args, config, "samples_per_trial", 50)
-    p_values = args.p or [1.0, 2.0]
-    started = time.time()
-
-    matrix = _load_input_matrix(args, seed)
+def cmd_lincomb(args) -> dict[Path, str]:
+    matrix = _load_input_matrix(args)
     dense = matrix.to_dense()
     user_rows = np.flatnonzero((dense != 0).any(axis=1))
     results = []
     for n_users in args.n_users:
         if n_users > user_rows.size:
             raise DataError(f"matrix has only {user_rows.size} nonzero rows, need {n_users}")
-        per_p = {p: {"exact": [], "iters": []} for p in p_values}
-        for t in range(trials):
-            rng = stream(seed, t)
+        per_p = {p: {"exact": [], "iters": []} for p in args.p}
+        for t in range(args.trials):
+            rng = stream(args.seed, t)
             chosen = rng.choice(user_rows, size=n_users, replace=False)
             combo_matrix = dense[chosen].T  # items become rows, users columns
             coeffs = rng.normal(0.0, 1.0, n_users)
             if not np.any(combo_matrix @ coeffs != 0.0):
                 continue
-            for p in p_values:
+            for p in args.p:
                 try:
                     # overflow is reported once, as the DataError below
                     with np.errstate(over="ignore", invalid="ignore"):
@@ -422,13 +405,13 @@ def cmd_lincomb(args) -> int:
                 except ValueError as exc:
                     raise DataError(f"cannot compute M({p:g}): {exc}") from exc
                 per_p[p]["exact"].append(exact)
-                if samples > 0:
+                if args.samples_per_trial > 0:
                     sampler = CombinationSampler(
                         WeightedMatrixTree(combo_matrix, p), coeffs, expected_iterations=exact
                     )
-                    _, proposals = sampler.sample_many(rng, samples)
-                    per_p[p]["iters"].append(proposals / samples)
-        for p in p_values:
+                    _, proposals = sampler.sample_many(rng, args.samples_per_trial)
+                    per_p[p]["iters"].append(proposals / args.samples_per_trial)
+        for p in args.p:
             exact_arr = np.array(per_p[p]["exact"])
             iters_arr = np.array(per_p[p]["iters"]) if per_p[p]["iters"] else None
             results.append(
@@ -441,102 +424,57 @@ def cmd_lincomb(args) -> int:
                     if exact_arr.size > 1
                     else None,
                     "mean_iterations": float(iters_arr.mean()) if iters_arr is not None else None,
-                    "samples_per_trial": samples,
+                    "samples_per_trial": args.samples_per_trial,
                 }
             )
     payload = {
         "schema_version": SCHEMA_VERSION,
         "params": {
             "n_users": list(args.n_users),
-            "trials": trials,
-            "p": list(p_values),
-            "samples_per_trial": samples,
+            "trials": args.trials,
+            "p": list(args.p),
+            "samples_per_trial": args.samples_per_trial,
             "matrix": {"m": matrix.m, "n": matrix.n, "nnz": matrix.nnz},
         },
         "results": results,
     }
-    out = Path(args.out)
-    with open(out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    _write_manifest(out, "lincomb", payload["params"], seed, [str(out)], started)
-    return EXIT_OK
+    return {Path(args.out): _json(payload)}
 
 
-def cmd_dfe(args) -> int:
-    config = _load_config(args.config)
-    seed = _resolve_seed(args, config)
-    runs = _resolve(args, config, "runs", 20)
-    epsilon = _resolve(args, config, "epsilon", 0.05)
-    delta = _resolve(args, config, "delta", 0.1)
-    started = time.time()
-
-    target = args.target
-    noise = args.noise
-    out = Path(args.out)
-    runs_path = out.with_name(out.name + ".jsonl")
-    summary_path = out.with_name(out.name + ".summary.json")
-
-    records = []
-    with open(runs_path, "w", encoding="utf-8") as handle:
-        for k in range(runs):
-            run = run_dfe(target, noise, epsilon, delta, args.norm, stream(seed, k))
-            record = run.to_json_dict()
-            record["seed"] = seed
-            record["run"] = k
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-            records.append(run)
-
+def cmd_dfe(args) -> dict[Path, str]:
+    target, epsilon = args.target, args.epsilon
+    records = [
+        run_dfe(target, args.noise, epsilon, args.delta, args.norm, stream(args.seed, k))
+        for k in range(args.runs)
+    ]
+    lines = [
+        json.dumps({**run.to_json_dict(), "seed": args.seed, "run": k}, sort_keys=True) + "\n"
+        for k, run in enumerate(records)
+    ]
     covered = sum(1 for r in records if abs(r.estimate - r.true_fidelity) <= 2.0 * epsilon)
-    bounds = bound_comparison(target.n, epsilon, delta) if target.kind == "w" else None
+    bounds = bound_comparison(target.n, epsilon, args.delta) if target.kind == "w" else None
     summary = {
         "schema_version": SCHEMA_VERSION,
         "target": target.kind,
         "n": target.n,
         "norm": args.norm,
         "epsilon": epsilon,
-        "delta": delta,
-        "runs": runs,
-        "true_fidelity": records[0].true_fidelity if records else None,
-        "coverage": covered / runs if runs else None,
-        "mean_total_measurements": float(np.mean([r.total_measurements for r in records]))
-        if records
-        else None,
-        "bounds": {
-            "l2_bound": bounds.l2_bound,
-            "l1_bound": bounds.l1_bound,
-            "coefficient_ratio": bounds.coefficient_ratio,
-        }
-        if bounds
-        else None,
+        "delta": args.delta,
+        "runs": args.runs,
+        "true_fidelity": records[0].true_fidelity,
+        "coverage": covered / args.runs,
+        "mean_total_measurements": float(np.mean([r.total_measurements for r in records])),
+        "bounds": asdict(bounds) if bounds else None,
     }
-    with open(summary_path, "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    _write_manifest(
-        out,
-        "dfe",
-        {
-            "target": f"{target.kind}:{target.n}",
-            "noise": {"kind": noise.kind, "lambda": noise.lam},
-            "epsilon": epsilon,
-            "delta": delta,
-            "norm": args.norm,
-            "runs": runs,
-            "schema_version": SCHEMA_VERSION,
-        },
-        seed,
-        [str(runs_path), str(summary_path)],
-        started,
-    )
-    return EXIT_OK
+    out = Path(args.out)
+    return {
+        out.with_name(out.name + ".jsonl"): "".join(lines),
+        out.with_name(out.name + ".summary.json"): _json(summary),
+    }
 
 
 def cmd_ingest(args) -> int:
-    try:
-        matrix = load_matrix(args.path, args.format)
-    except OSError as exc:
-        raise DataError(f"cannot read {args.path}: {exc}") from exc
+    matrix = load_matrix(args.path, args.format)
     print(f"rows: {matrix.m}")
     print(f"cols: {matrix.n}")
     print(f"nnz: {matrix.nnz}")
@@ -556,57 +494,57 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help=f"default: ${SEED_ENV_VAR} or 0")
-    common.add_argument("--config", default=None, help="JSON file with default parameters")
+    common.add_argument("--seed", type=int, help=f"default: ${SEED_ENV_VAR} or 0")
+    common.add_argument("--config", help="JSON file whose keys (flag dest names) fill unset flags")
+    writes = argparse.ArgumentParser(add_help=False, parents=[common])  # the runner's commands
+    writes.add_argument("--out", required=True)
+    source = argparse.ArgumentParser(add_help=False)
+    group = source.add_mutually_exclusive_group(required=True)
+    group.add_argument("--matrix")
+    group.add_argument("--synthetic", type=_synthetic_arg)
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--epsilon", type=_probability)
+    tolerance.add_argument("--delta", type=_probability)
+    trials = argparse.ArgumentParser(add_help=False)
+    trials.add_argument("--trials", type=_count)
 
-    p_curve = sub.add_parser("mp-curve", parents=[common], help="iteration-count curve over p")
-    p_curve.add_argument("--dist", type=_dist_arg, default=None)
-    p_curve.add_argument("--m", type=int, default=None)
+    p_curve = sub.add_parser("mp-curve", parents=[writes, trials], help="iteration-count curve over p")
+    p_curve.add_argument("--dist", type=_dist_arg)
+    p_curve.add_argument("--m", type=int)
     p_curve.add_argument("--n", type=int, nargs="+", required=True)
-    p_curve.add_argument("--p-grid", type=_p_grid_arg, default=[1.0, 1.25, 1.5, 1.75, 2.0])
-    p_curve.add_argument("--trials", type=int, default=None)
-    p_curve.add_argument("--out", required=True)
-    p_curve.set_defaults(func=cmd_mp_curve)
+    p_curve.add_argument("--p-grid", type=_p_grid_arg)
+    _declare(p_curve, cmd_mp_curve, dist=None, m=256, p_grid=[1.0, 1.25, 1.5, 1.75, 2.0], trials=100)
 
-    p_ratio = sub.add_parser("ratio-table", parents=[common], help="M(2)/M(1) ratio grid")
+    p_ratio = sub.add_parser("ratio-table", parents=[writes, trials], help="M(2)/M(1) ratio grid")
     p_ratio.add_argument("--dists", type=_dist_arg, nargs="+", required=True)
-    p_ratio.add_argument("--m", type=int, default=None)
+    p_ratio.add_argument("--m", type=int)
     p_ratio.add_argument("--n-list", type=int, nargs="+", required=True)
-    p_ratio.add_argument("--trials", type=int, default=None)
-    p_ratio.add_argument("--full", action="store_true", help="reference scale: m=1024, trials=1000")
-    p_ratio.add_argument("--out", required=True)
-    p_ratio.set_defaults(func=cmd_ratio_table)
+    p_ratio.add_argument("--full", action="store_true", default=None,
+                         help="reference scale: m=1024, trials=1000")
+    # desk-scale defaults keep CI fast; --full restores the reference scale
+    _declare(p_ratio, cmd_ratio_table, full=False,
+             m=lambda args: 1024 if args.full else 256, trials=lambda args: 1000 if args.full else 100)
 
-    p_ip = sub.add_parser("inner-product", parents=[common], help="row-pair estimation report")
-    p_ip.add_argument("--matrix", default=None)
-    p_ip.add_argument("--synthetic", type=_synthetic_arg, default=None)
-    p_ip.add_argument("--p", type=float, default=None)
-    p_ip.add_argument("--epsilon", type=float, default=None)
-    p_ip.add_argument("--delta", type=float, default=None)
-    p_ip.add_argument("--pairs", type=int, default=None)
-    p_ip.add_argument("--min-overlap", dest="min_overlap", type=int, default=None)
-    p_ip.add_argument("--out", required=True)
-    p_ip.set_defaults(func=cmd_inner_product)
+    p_ip = sub.add_parser("inner-product", parents=[writes, source, tolerance],
+                          help="row-pair estimation report")
+    p_ip.add_argument("--p", type=float)
+    p_ip.add_argument("--pairs", type=_size)
+    p_ip.add_argument("--min-overlap", dest="min_overlap", type=int)
+    _declare(p_ip, cmd_inner_product, p=1.0, epsilon=0.1, delta=0.1, pairs=20, min_overlap=50)
 
-    p_lc = sub.add_parser("lincomb", parents=[common], help="linear-combination sampling cost")
-    p_lc.add_argument("--matrix", default=None)
-    p_lc.add_argument("--synthetic", type=_synthetic_arg, default=None)
+    p_lc = sub.add_parser("lincomb", parents=[writes, source, trials],
+                          help="linear-combination sampling cost")
     p_lc.add_argument("--n-users", dest="n_users", type=int, nargs="+", required=True)
-    p_lc.add_argument("--trials", type=int, default=None)
-    p_lc.add_argument("--p", type=float, nargs="+", default=None)
-    p_lc.add_argument("--samples-per-trial", dest="samples_per_trial", type=int, default=None)
-    p_lc.add_argument("--out", required=True)
-    p_lc.set_defaults(func=cmd_lincomb)
+    p_lc.add_argument("--p", type=float, nargs="+")
+    p_lc.add_argument("--samples-per-trial", dest="samples_per_trial", type=_size)
+    _declare(p_lc, cmd_lincomb, trials=20, p=[1.0, 2.0], samples_per_trial=50)
 
-    p_dfe = sub.add_parser("dfe", parents=[common], help="fidelity-estimation runs")
+    p_dfe = sub.add_parser("dfe", parents=[writes, tolerance], help="fidelity-estimation runs")
     p_dfe.add_argument("--target", type=_target_arg, required=True, help="w:5 or ghz:4")
-    p_dfe.add_argument("--noise", type=_noise_arg, default=no_noise(), help="depolarizing:0.1 or none")
-    p_dfe.add_argument("--epsilon", type=float, default=None)
-    p_dfe.add_argument("--delta", type=float, default=None)
+    p_dfe.add_argument("--noise", type=_noise_arg, help="depolarizing:0.1 or none")
     p_dfe.add_argument("--norm", choices=["l1", "l2"], required=True)
-    p_dfe.add_argument("--runs", type=int, default=None)
-    p_dfe.add_argument("--out", required=True)
-    p_dfe.set_defaults(func=cmd_dfe)
+    p_dfe.add_argument("--runs", type=_count)
+    _declare(p_dfe, cmd_dfe, noise=no_noise(), epsilon=0.05, delta=0.1, runs=20)
 
     p_ing = sub.add_parser("ingest", parents=[common], help="validate a sparse matrix file")
     p_ing.add_argument("path")
@@ -616,10 +554,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # ingest only prints; every other command writes files through the runner
+        return args.func(args) if args.command == "ingest" else _run(args)
     except (DataError, SparseFormatError, NonTerminationError, EmptyDistributionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

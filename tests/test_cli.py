@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from lpsample.cli import EXIT_DATA, EXIT_OK, main
+import lpsample.cli as cli
+from lpsample.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, DataError, main
 
 
 def run(args):
@@ -33,6 +34,64 @@ def ratings_file(tmp_path):
     path = tmp_path / "ratings.csv"
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+MATRIX = object()  # stands for the ratings_file path in an argv
+
+# sha256 of every file each argv writes (manifests aside), recorded before the
+# CLI plumbing moved into one runner; integer p only, so no SIMD pow rounding
+GOLDEN = {
+    "mp-curve": (
+        ["mp-curve", "--dist", "normal:0,1", "--m", 16, "--n", 4, 8, "--p-grid", "1:2:1",
+         "--trials", 6, "--seed", 7],
+        {"out": "f7c8c12af3a1b4dc23578ced18c9701d65bcd2c2a5177433b67183e810e7e50c"},
+    ),
+    "ratio-table": (
+        ["ratio-table", "--dists", "normal:0,1", "exponential:1", "--m", 16, "--n-list", 2, 4,
+         "--trials", 5, "--seed", 5],
+        {"out": "191aac05f6bae6566787cd7bbadb24bdfd518c04ed8f4435a2a5a1fa91e25332"},
+    ),
+    "inner-product-p1": (
+        ["inner-product", "--matrix", MATRIX, "--p", 1, "--pairs", 3, "--min-overlap", 30, "--seed", 2],
+        {"out": "05ad931f1467935295c3245aaec57776916002ad5cfd99b526d84ea1c955acb4"},
+    ),
+    "inner-product-p2": (
+        ["inner-product", "--matrix", MATRIX, "--p", 2, "--pairs", 3, "--min-overlap", 30, "--seed", 2],
+        {"out": "5f610005ac7d9e83e678e0bc037cd3fcc14df9ff6e678025570e9d68a59b61a4"},
+    ),
+    "lincomb": (
+        ["lincomb", "--matrix", MATRIX, "--n-users", 1, 4, "--trials", 3, "--p", 1, 2,
+         "--samples-per-trial", 10, "--seed", 4],
+        {"out": "73fd17e4af19b094175d63cfe7d25df1f03c83c7aaf882e6fed9f7407e4dbf21"},
+    ),
+    "dfe-w-l1": (
+        ["dfe", "--target", "w:3", "--noise", "depolarizing:0.1", "--epsilon", 0.2, "--delta", 0.2,
+         "--norm", "l1", "--runs", 3, "--seed", 6],
+        {
+            "out.jsonl": "ce2a2973e9cb60c8c4f766a5390c307cb54c119ab9e9e167ab97130edc174a58",
+            "out.summary.json": "c472a5c7ef9ffb17275cd6e0de61eac843483ea61cd0515dcdc9ab7025c77005",
+        },
+    ),
+    "dfe-ghz-l2": (
+        ["dfe", "--target", "ghz:3", "--noise", "depolarizing:0.1", "--epsilon", 0.2, "--delta", 0.2,
+         "--norm", "l2", "--runs", 3, "--seed", 6],
+        {
+            "out.jsonl": "9fe7f340b1ee838ee2a1887e2c1510da4d8d46d02266adf0800c4fe72908f98b",
+            "out.summary.json": "f3461e5a36954d67443c3b06962ebb1d5df9f092347e3e23bf79a473705bb1a8",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_outputs(name, ratings_file, tmp_path):
+    argv, expected = GOLDEN[name]
+    out_dir = tmp_path / name
+    out_dir.mkdir()
+    argv = [ratings_file if a is MATRIX else a for a in argv]
+    assert run(argv + ["--out", out_dir / "out"]) == EXIT_OK
+    written = {p.name: file_hash(p) for p in out_dir.iterdir() if not p.name.endswith(".manifest.json")}
+    assert written == expected
 
 
 class TestMpCurve:
@@ -291,3 +350,151 @@ class TestConfigAndEnv:
         manifest = manifest_of(out)
         assert manifest["params"]["m"] == 1024  # --full default, trials flag still wins
         assert manifest["params"]["trials"] == 3
+
+
+# the smallest argv of each command: required flags only, so a config can set the rest
+MINIMAL = {
+    "mp-curve": ["mp-curve", "--dist", "normal:0,1", "--m", 8, "--n", 4, "--p-grid", "1:2:1"],
+    "ratio-table": ["ratio-table", "--dists", "normal:0,1", "--m", 8, "--n-list", 2],
+    "inner-product": ["inner-product", "--matrix", MATRIX, "--min-overlap", 30],
+    "lincomb": ["lincomb", "--matrix", MATRIX, "--n-users", 2],
+    "dfe": ["dfe", "--target", "w:3", "--norm", "l1"],
+    "ingest": ["ingest", MATRIX],
+}
+
+
+def minimal_argv(command, ratings_file, out):
+    argv = [ratings_file if a is MATRIX else a for a in MINIMAL[command]]
+    return argv if command == "ingest" else argv + ["--out", out]
+
+
+@pytest.mark.parametrize("command", sorted(MINIMAL))
+def test_commands_are_looked_up_when_called(command, ratings_file, tmp_path, monkeypatch):
+    # per-layer tracing wraps the module attributes cmd_*; a table of function
+    # references taken at import time would bypass such a wrapper
+    attr = "cmd_" + command.replace("-", "_")
+    original = getattr(cli, attr)
+    calls = []
+
+    def wrapper(args):
+        calls.append(args.command)
+        return original(args)
+
+    monkeypatch.setattr(cli, attr, wrapper)
+    assert run(minimal_argv(command, ratings_file, tmp_path / "out")) == EXIT_OK
+    assert calls == [command]
+
+
+BAD_VALUES = [
+    ("mp-curve", "trials", 0),
+    ("ratio-table", "trials", 0),
+    ("lincomb", "trials", 0),
+    ("lincomb", "samples_per_trial", -1),
+    ("inner-product", "pairs", -1),
+    ("inner-product", "epsilon", 0),
+    ("inner-product", "epsilon", 1.5),
+    ("inner-product", "delta", 1),
+    ("dfe", "epsilon", 0),
+    ("dfe", "delta", -0.1),
+    ("dfe", "runs", 0),
+    ("dfe", "runs", -1),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command,dest,value", BAD_VALUES)
+def test_bad_count_or_probability_is_rejected(command, dest, value, source, ratings_file, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = minimal_argv(command, ratings_file, out_dir / "out")
+    if source == "flag":
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--" + dest.replace("_", "-"), value])
+        assert exc.value.code == EXIT_USAGE
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({dest: value}))
+        assert run(argv + ["--config", config]) == EXIT_DATA
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and repr(dest) in lines[0]
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("source", [[], ["--matrix", MATRIX, "--synthetic", "m=4,n=4,density=0.5,dist=normal:0,1"]])
+def test_matrix_source_is_exactly_one_of_matrix_or_synthetic(source, ratings_file, tmp_path):
+    argv = [ratings_file if a is MATRIX else a for a in source]
+    with pytest.raises(SystemExit) as exc:
+        run(["inner-product", *argv, "--out", tmp_path / "ip.json"])
+    assert exc.value.code == EXIT_USAGE
+
+
+class TestConfigValuesTakeEffect:
+    def write_config(self, tmp_path, **values):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(values))
+        return path
+
+    def test_mp_curve_p_grid(self, ratings_file, tmp_path):
+        config = self.write_config(tmp_path, p_grid="1:2:0.5")
+        argv = ["mp-curve", "--dist", "normal:0,1", "--m", 8, "--n", 4, "--trials", 2, "--config", config]
+        for extra, grid in (([], [1.0, 1.5, 2.0]), (["--p-grid", "2:2:1"], [2.0])):
+            out = tmp_path / "curve.csv"
+            assert run(argv + extra + ["--out", out]) == EXIT_OK
+            with open(out) as handle:
+                assert [float(row["p"]) for row in csv.DictReader(handle)] == grid
+            assert manifest_of(out)["params"]["p_grid"] == grid
+
+    def test_lincomb_p(self, ratings_file, tmp_path):
+        config = self.write_config(tmp_path, p=[2])
+        argv = ["lincomb", "--matrix", ratings_file, "--n-users", 2, "--trials", 2, "--config", config]
+        for extra, ps in (([], [2.0]), (["--p", 1, 3], [1.0, 3.0])):
+            out = tmp_path / "lc.json"
+            assert run(argv + extra + ["--out", out]) == EXIT_OK
+            assert [r["p"] for r in json.loads(out.read_text())["results"]] == ps
+            assert manifest_of(out)["params"]["p"] == ps
+
+    def test_dfe_noise(self, tmp_path):
+        config = self.write_config(tmp_path, noise="depolarizing:0.5")
+        argv = ["dfe", "--target", "w:3", "--norm", "l1", "--runs", 1, "--config", config]
+        for extra, fidelity, text in (([], 0.5 + 0.5 / 8, "depolarizing:0.5"), (["--noise", "none"], 1.0, "none")):
+            out = tmp_path / "dfe"
+            assert run(argv + extra + ["--out", out]) == EXIT_OK
+            summary = json.loads((tmp_path / "dfe.summary.json").read_text())
+            assert summary["true_fidelity"] == pytest.approx(fidelity)
+            assert manifest_of(out)["params"]["noise"] == text
+
+    def test_ratio_table_full_switch(self, tmp_path, capsys):
+        argv = ["ratio-table", "--dists", "normal:0,1", "--n-list", 2, "--trials", 2, "--out", tmp_path / "t.csv"]
+        assert run(argv + ["--config", self.write_config(tmp_path, full=True)]) == EXIT_OK
+        assert manifest_of(tmp_path / "t.csv")["params"]["m"] == 1024
+        assert run(argv + ["--config", self.write_config(tmp_path, full="no")]) == EXIT_DATA
+        assert "'full'" in capsys.readouterr().err
+
+    def test_manifest_names_the_input_source(self, ratings_file, tmp_path):
+        out = tmp_path / "ip.json"
+        assert run(["inner-product", "--matrix", ratings_file, "--pairs", 0, "--out", out]) == EXIT_OK
+        params = manifest_of(out)["params"]
+        assert params["matrix"] == str(ratings_file) and params["synthetic"] is None
+        spec = "m=40,n=200,density=0.5,dist=uniform:1,5"
+        assert run(["lincomb", "--synthetic", spec, "--n-users", 2, "--trials", 1, "--out", out]) == EXIT_OK
+        params = manifest_of(out)["params"]
+        assert params["matrix"] is None
+        assert params["synthetic"] == {"m": 40, "n": 200, "density": 0.5, "dist": "uniform:1,5"}
+
+
+def test_failing_command_writes_no_file(tmp_path, monkeypatch):
+    real_run_dfe = cli.run_dfe
+    calls = []
+
+    def run_dfe_then_fail(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise DataError("second run fails")
+        return real_run_dfe(*args)
+
+    monkeypatch.setattr(cli, "run_dfe", run_dfe_then_fail)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code = run(["dfe", "--target", "w:3", "--norm", "l1", "--runs", 3, "--out", out_dir / "dfe"])
+    assert code == EXIT_DATA
+    assert list(out_dir.iterdir()) == []
