@@ -46,13 +46,9 @@ from .dfe import (
     TargetState,
     bound_comparison,
     depolarizing,
-    ghz_characteristic,
     ghz_state,
     no_noise,
     run_dfe,
-    sample_pauli,
-    simulate_measurements,
-    w_characteristic,
     w_state,
     well_conditioned_check,
     z_exact,

@@ -11,7 +11,8 @@ are byte-reproducible for a fixed seed; timestamps live only in the manifest.
 
 Exit codes: 0 success; 2 usage (a bad flag, a count or probability out of
 range, neither or both of --matrix/--synthetic); 3 data error (a bad config
-value included); 4 internal invariant violation.
+value, or a DFE run too large to simulate, included); 4 internal invariant
+violation.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .estimators import error_scale, estimate_inner_product
 from .lincomb import (
     CombinationSampler,
     NonTerminationError,
+    _stderr,
     exact_m,
     mp_curve,
     run_ratio_experiment,
@@ -260,7 +262,7 @@ def cmd_mp_curve(args) -> dict[Path, str]:
         points = mp_curve(args.m, n, args.dist, args.p_grid, args.trials, args.seed)
         for pt in points:
             bias = ""
-            if pt.theory_m is not None:
+            if pt.theory_m is not None and pt.stderr_m is not None:
                 band = 2.0 * pt.stderr_m
                 if pt.theory_m > pt.mean_m + band:
                     bias = "positive"
@@ -420,9 +422,7 @@ def cmd_lincomb(args) -> dict[Path, str]:
                     "p": p,
                     "trials": int(exact_arr.size),
                     "mean_exact_m": float(exact_arr.mean()),
-                    "stderr_exact_m": float(exact_arr.std(ddof=1) / np.sqrt(exact_arr.size))
-                    if exact_arr.size > 1
-                    else None,
+                    "stderr_exact_m": _stderr(exact_arr),
                     "mean_iterations": float(iters_arr.mean()) if iters_arr is not None else None,
                     "samples_per_trial": args.samples_per_trial,
                 }
@@ -443,10 +443,13 @@ def cmd_lincomb(args) -> dict[Path, str]:
 
 def cmd_dfe(args) -> dict[Path, str]:
     target, epsilon = args.target, args.epsilon
-    records = [
-        run_dfe(target, args.noise, epsilon, args.delta, args.norm, stream(args.seed, k))
-        for k in range(args.runs)
-    ]
+    try:
+        records = [
+            run_dfe(target, args.noise, epsilon, args.delta, args.norm, stream(args.seed, k))
+            for k in range(args.runs)
+        ]
+    except ValueError as exc:  # more levels than MAX_LEVELS, or more qubits than a label holds
+        raise DataError(str(exc)) from None
     lines = [
         json.dumps({**run.to_json_dict(), "seed": args.seed, "run": k}, sort_keys=True) + "\n"
         for k, run in enumerate(records)

@@ -11,9 +11,18 @@ both bits are set.  For the two supported targets the characteristic values
 * GHZ state: ``+-1 / sqrt(d)`` on the 2^n stabilizer labels (X part empty or
   full, Z weight even; the sign is ``i^|z|``), zero otherwise.
 
+``TargetState.characteristic`` evaluates both, on int bit masks or on int64
+arrays of them.
+
 Pauli labels are drawn either proportionally to ``chi^2`` (the amplitude
 scheme) or to ``|chi| / Z`` with ``Z = sum |chi|``; the latter tightens the
 n^2 coefficient of the measurement budget by a factor of 4 for the W state.
+
+``run_dfe`` draws ``l = ceil(1 / (eps^2 delta))`` labels, at most
+``MAX_LEVELS``, in one vectorised pass. Level k measures its label b_k times;
+the b_k outcomes of +-1 sum to ``2 Binomial(b_k, p_plus) - b_k``, so each level
+mean is drawn as one binomial count and a run's memory is O(l) however many
+measurements it simulates.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "MAX_LEVELS",
     "PauliLabel",
     "TargetState",
     "NoiseModel",
@@ -34,14 +44,10 @@ __all__ = [
     "ghz_state",
     "depolarizing",
     "no_noise",
-    "w_characteristic",
-    "ghz_characteristic",
     "z_prime",
     "z_exact",
     "z_upper_bound",
-    "sample_pauli",
     "sample_paulis",
-    "simulate_measurements",
     "run_dfe",
     "bound_comparison",
     "well_conditioned_check",
@@ -51,6 +57,10 @@ _PAULI_CHARS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 # int64 bit masks bound the simulable qubit count; the exact-integer Z
 # identities below have no such limit
 _MAX_SIM_QUBITS = 62
+# Largest level count ceil(1 / (eps^2 delta)) run_dfe accepts; it admits
+# eps = delta = 0.01. The W label draw holds a few levels x n arrays of 8-byte
+# entries (a 146 MiB peak at 10^5 levels and n = 60), so memory grows with it.
+MAX_LEVELS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -116,12 +126,32 @@ class TargetState:
     def dim(self) -> int:
         return 1 << self.n
 
-    def characteristic(self, label: PauliLabel) -> float:
-        if label.n != self.n:
-            raise ValueError("label qubit count does not match the target")
+    def characteristic(self, x_bits, z_bits):
+        """Signed ``tr(rho W) / sqrt(d)`` of the labels with these X and Z bit masks.
+
+        Takes two ints (returns a float) or two int64 arrays (returns a float
+        array of their broadcast shape).
+        """
+        x = np.asarray(x_bits, dtype=np.int64)
+        z = np.asarray(z_bits, dtype=np.int64)
+        n = self.n
+        if np.any((x | z) >> n):
+            raise ValueError("bit masks exceed the qubit count")
+        sqrt_d = math.sqrt(self.dim)
+        wz = np.bitwise_count(z).astype(np.int64)
         if self.kind == "w":
-            return w_characteristic(self.n, label)
-        return ghz_characteristic(self.n, label)
+            wx = np.bitwise_count(x).astype(np.int64)
+            overlap_even = np.bitwise_count(x & z) % 2 == 0
+            out = np.where(x == 0, (n - 2 * wz) / (n * sqrt_d), 0.0)
+            # under W = i^(x.z) X^x Z^z both even-overlap cases come out positive
+            out = np.where((wx == 2) & overlap_even, 2.0 / (n * sqrt_d), out)
+        else:
+            full = (1 << n) - 1
+            even = wz % 2 == 0
+            sign = np.where(wz % 4 == 2, -1.0, 1.0)
+            out = np.where(even & (x == 0), 1.0 / sqrt_d, 0.0)
+            out = np.where(even & (x == full), sign / sqrt_d, out)
+        return out if out.ndim else float(out)
 
     def l1_normalizer(self) -> float:
         """Sum of |chi| over all labels."""
@@ -140,27 +170,19 @@ class TargetState:
         """
         if self.n > 14:
             raise ValueError("support enumeration is limited to n <= 14")
-        labels: list[PauliLabel] = []
         n = self.n
+        # chi vanishes outside these X parts; the zero labels within them
+        # (odd overlap or Z weight, |z| = n/2 on the W diagonal) are dropped below
         if self.kind == "w":
-            for z in range(1 << n):
-                labels.append(PauliLabel(n, 0, z))
-            for a in range(n):
-                for b in range(a + 1, n):
-                    x = (1 << a) | (1 << b)
-                    for z in range(1 << n):
-                        if (x & z).bit_count() % 2 == 0:
-                            labels.append(PauliLabel(n, x, z))
-            # drop the zero-valued diagonal labels of even n (|z| = n/2)
-            labels = [lab for lab in labels if w_characteristic(n, lab) != 0.0]
+            x_masks = [0] + [(1 << a) | (1 << b) for a in range(n) for b in range(a + 1, n)]
         else:
-            full = (1 << n) - 1
-            for x in (0, full):
-                for z in range(1 << n):
-                    if z.bit_count() % 2 == 0:
-                        labels.append(PauliLabel(n, x, z))
-        chis = np.array([self.characteristic(lab) for lab in labels])
-        return labels, chis
+            x_masks = [0, (1 << n) - 1]
+        grid = np.meshgrid(np.array(x_masks, dtype=np.int64), np.arange(1 << n, dtype=np.int64), indexing="ij")
+        x, z = (axis.ravel() for axis in grid)
+        chis = self.characteristic(x, z)
+        keep = np.flatnonzero(chis)
+        labels = [PauliLabel(n, int(x[i]), int(z[i])) for i in keep]
+        return labels, chis[keep]
 
 
 def w_state(n: int) -> TargetState:
@@ -201,55 +223,6 @@ def depolarizing(lam: float) -> NoiseModel:
 
 def no_noise() -> NoiseModel:
     return NoiseModel("none")
-
-
-# -- closed-form characteristic values ----------------------------------------
-
-
-def w_characteristic(n: int, label: PauliLabel) -> float:
-    """Signed ``tr(rho W) / sqrt(d)`` for the n-qubit W state."""
-    if n < 3:
-        raise ValueError("the W state needs n >= 3")
-    sqrt_d = math.sqrt(1 << n)
-    if label.x_bits == 0:
-        return (n - 2 * label.z_bits.bit_count()) / (n * sqrt_d)
-    if label.x_bits.bit_count() == 2 and (label.x_bits & label.z_bits).bit_count() % 2 == 0:
-        # under W = i^(x.z) X^x Z^z both even-overlap cases come out positive
-        return 2.0 / (n * sqrt_d)
-    return 0.0
-
-
-def ghz_characteristic(n: int, label: PauliLabel) -> float:
-    """Signed ``tr(rho W) / sqrt(d)`` for the n-qubit GHZ state."""
-    if n < 2:
-        raise ValueError("the GHZ state needs n >= 2")
-    sqrt_d = math.sqrt(1 << n)
-    wz = label.z_bits.bit_count()
-    if wz % 2 == 1:
-        return 0.0
-    if label.x_bits == 0:
-        return 1.0 / sqrt_d
-    if label.x_bits == (1 << n) - 1:
-        sign = -1.0 if wz % 4 == 2 else 1.0
-        return sign / sqrt_d
-    return 0.0
-
-
-def _characteristic_batch(target: TargetState, x_arr: np.ndarray, z_arr: np.ndarray) -> np.ndarray:
-    n = target.n
-    sqrt_d = math.sqrt(target.dim)
-    wz = np.bitwise_count(z_arr).astype(np.int64)
-    if target.kind == "w":
-        wx = np.bitwise_count(x_arr).astype(np.int64)
-        overlap_even = np.bitwise_count(x_arr & z_arr) % 2 == 0
-        out = np.where(x_arr == 0, (n - 2 * wz) / (n * sqrt_d), 0.0)
-        out = np.where((wx == 2) & overlap_even, 2.0 / (n * sqrt_d), out)
-        return out
-    full = (1 << n) - 1
-    even = wz % 2 == 0
-    sign = np.where(wz % 4 == 2, -1.0, 1.0)
-    out = np.where(even & (x_arr == 0), 1.0 / sqrt_d, 0.0)
-    return np.where(even & (x_arr == full), sign / sqrt_d, out)
 
 
 # -- L1 normalizer identities --------------------------------------------------
@@ -356,36 +329,7 @@ def sample_paulis(
     return x, z
 
 
-def sample_pauli(target: TargetState, norm: str, rng: np.random.Generator) -> PauliLabel:
-    """Draw one Pauli label under the chosen sampling scheme."""
-    x, z = sample_paulis(target, norm, rng, 1)
-    return PauliLabel(target.n, int(x[0]), int(z[0]))
-
-
-# -- measurement simulation and the estimator ----------------------------------
-
-
-def _expected_outcome(target: TargetState, noise: NoiseModel, chi: float, identity: bool) -> float:
-    if identity:
-        return 1.0
-    return noise.shrink * math.sqrt(target.dim) * chi
-
-
-def simulate_measurements(
-    target: TargetState,
-    noise: NoiseModel,
-    label: PauliLabel,
-    count: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """i.i.d. +-1 outcomes with mean ``tr(sigma W)`` for the noisy state."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    e = _expected_outcome(target, noise, target.characteristic(label), label.is_identity)
-    if abs(e) > 1.0 + 1e-12:
-        raise RuntimeError(f"expectation {e} outside [-1, 1]; inconsistent model")
-    p_plus = min(max((1.0 + e) / 2.0, 0.0), 1.0)
-    return np.where(rng.random(count) < p_plus, 1, -1).astype(np.int8)
+# -- the estimator ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -431,6 +375,17 @@ def _level_budgets(
     return np.ceil(2.0 * log_term * inv / (levels * epsilon ** 2)).astype(np.int64)
 
 
+def _pauli_expectation(
+    target: TargetState, noise: NoiseModel, x_bits: np.ndarray, z_bits: np.ndarray, chi: np.ndarray
+) -> np.ndarray:
+    """``tr(sigma W)`` of the noisy state for each label, given the labels' chi values."""
+    identity = (x_bits == 0) & (z_bits == 0)
+    expectation = np.where(identity, 1.0, noise.shrink * math.sqrt(target.dim) * chi)
+    if np.any(np.abs(expectation) > 1.0 + 1e-12):
+        raise RuntimeError("Pauli expectation outside [-1, 1]; inconsistent model")
+    return expectation
+
+
 def run_dfe(
     target: TargetState,
     noise: NoiseModel,
@@ -442,7 +397,8 @@ def run_dfe(
     """One full fidelity-estimation experiment.
 
     Draws ``l = ceil(1 / (eps^2 delta))`` Pauli labels under the chosen
-    scheme, simulates the per-level measurement budgets, and aggregates the
+    scheme (``ValueError`` above ``MAX_LEVELS``), draws each level's mean
+    over its measurement budget as one binomial count, and aggregates the
     reweighted level means; the result satisfies
     ``Pr[|estimate - F| >= 2 eps] <= 2 delta``.
     """
@@ -452,25 +408,24 @@ def run_dfe(
         raise ValueError("norm must be 'l1' or 'l2'")
 
     levels = math.ceil(1.0 / (epsilon ** 2 * delta))
+    if levels > MAX_LEVELS:
+        raise ValueError(
+            f"epsilon {epsilon:g} and delta {delta:g} need {levels} levels, above the cap of {MAX_LEVELS}"
+        )
     x_arr, z_arr = sample_paulis(target, norm, rng, levels)
-    chi = _characteristic_batch(target, x_arr, z_arr)
-    identity = (x_arr == 0) & (z_arr == 0)
-
+    chi = target.characteristic(x_arr, z_arr)
+    expectation = _pauli_expectation(target, noise, x_arr, z_arr, chi)
     budgets = _level_budgets(target, norm, epsilon, delta, levels, chi)
     sqrt_d = math.sqrt(target.dim)
-    expectation = np.where(identity, 1.0, noise.shrink * sqrt_d * chi)
-    if np.any(np.abs(expectation) > 1.0 + 1e-12):
-        raise RuntimeError("Pauli expectation outside [-1, 1]; inconsistent model")
     if norm == "l1":
         weights = target.l1_normalizer() * np.sign(chi) / sqrt_d
     else:
         weights = 1.0 / (sqrt_d * chi)
 
-    total = int(budgets.sum())
+    # b outcomes of +-1 with Pr[+1] = p sum to 2 Binomial(b, p) - b, so each
+    # level mean is one binomial count and memory stays O(levels)
     p_plus = np.clip((1.0 + expectation) / 2.0, 0.0, 1.0)
-    draws = np.where(rng.random(total) < np.repeat(p_plus, budgets), 1.0, -1.0)
-    offsets = np.concatenate(([0], np.cumsum(budgets)[:-1]))
-    level_means = np.add.reduceat(draws, offsets) / budgets
+    level_means = (2 * rng.binomial(budgets, p_plus) - budgets) / budgets
     estimate = float(np.mean(weights * level_means))
 
     return DfeRun(
@@ -481,7 +436,7 @@ def run_dfe(
         norm=norm,
         levels=levels,
         level_budgets=budgets,
-        total_measurements=total,
+        total_measurements=int(budgets.sum()),
         estimate=estimate,
         true_fidelity=noise.true_fidelity(target.dim),
     )

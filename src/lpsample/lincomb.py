@@ -86,7 +86,7 @@ class RatioExperimentReport:
     m1: MpReport
     m2: MpReport
     mean_ratio: float
-    stderr_ratio: float
+    stderr_ratio: float | None
     redraws: int
     outside_theory: bool
 
@@ -100,7 +100,7 @@ class MpCurvePoint:
     m: int
     trials: int
     mean_m: float
-    stderr_m: float
+    stderr_m: float | None
     theory_m: float | None
 
 
@@ -283,6 +283,14 @@ def theoretical_mp(profile: MomentProfile, n: int) -> float:
     return n ** (profile.p / 2.0) * theoretical_limit(profile)
 
 
+def _stderr(values) -> float | None:
+    """Standard error of the mean of ``values``; ``None`` below two values."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.size < 2:
+        return None
+    return float(values.std(ddof=1) / math.sqrt(values.size))
+
+
 def _draw_instance(spec_a, spec_x, m, n, rng, max_redraws):
     """Draw (A, x) and redraw while Ax is exactly zero; returns redraw count."""
     redraws = 0
@@ -325,10 +333,8 @@ def run_ratio_experiment(
     ratio = m2 / m1
 
     def _report(p, vals):
-        stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else None
-        return MpReport(p, m, n, float(vals.mean()), None, trials, stderr)
+        return MpReport(p, m, n, float(vals.mean()), None, trials, _stderr(vals))
 
-    stderr_ratio = float(ratio.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return RatioExperimentReport(
         m=m,
         n=n,
@@ -338,7 +344,7 @@ def run_ratio_experiment(
         m1=_report(1.0, m1),
         m2=_report(2.0, m2),
         mean_ratio=float(ratio.mean()),
-        stderr_ratio=stderr_ratio,
+        stderr_ratio=_stderr(ratio),
         redraws=redraws,
         outside_theory=spec_a.mean() != 0.0,
     )
@@ -376,6 +382,5 @@ def mp_curve(
         if zero_mean:
             profile = moment_profile(spec, p, mode="auto", seed=seed)
             theory = theoretical_mp(profile, n)
-        stderr = float(values[k].std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-        points.append(MpCurvePoint(p, n, m, trials, float(values[k].mean()), stderr, theory))
+        points.append(MpCurvePoint(p, n, m, trials, float(values[k].mean()), _stderr(values[k]), theory))
     return points

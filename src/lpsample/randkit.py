@@ -82,7 +82,14 @@ class DistributionSpec:
             raise ValueError("gamma requires shape > 0 and scale > 0")
 
     def label(self) -> str:
-        return self.family + ":" + ",".join(format(v, "g") for v in self.params)
+        """``family:params`` text that ``parse_distribution`` reads back to this spec.
+
+        Each parameter is written short (``format(v, "g")``) where that
+        round-trips, and in full (``repr``) where it would round.
+        """
+        return self.family + ":" + ",".join(
+            format(v, "g") if float(format(v, "g")) == v else repr(v) for v in self.params
+        )
 
     def sample(self, rng: np.random.Generator, size=None):
         f, q = self.family, self.params

@@ -17,13 +17,10 @@ from scipy import stats
 
 from lpsample.cli import EXIT_OK, main as cli_main
 from lpsample.dfe import (
-    PauliLabel,
     bound_comparison,
     depolarizing,
-    ghz_characteristic,
     ghz_state,
     run_dfe,
-    w_characteristic,
     w_state,
     z_exact,
     z_prime,
@@ -213,19 +210,15 @@ def test_09_characteristic_oracle():
     with criterion(9, "closed-form characteristics match state vectors"):
         for n in (3, 4, 5):
             table = characteristic_table(w_state_vector(n), n)
-            worst = max(
-                abs(w_characteristic(n, PauliLabel(n, x, z)) - chi)
-                for (x, z), chi in table.items()
-            )
+            target = w_state(n)
+            worst = max(abs(target.characteristic(x, z) - chi) for (x, z), chi in table.items())
             assert worst <= 1e-12, (n, worst)
             total = sum(chi * chi for chi in table.values())
             assert abs(total - 1.0) <= 1e-9, (n, total)
         for n in (3, 4):
             table = characteristic_table(ghz_state_vector(n), n)
-            worst = max(
-                abs(ghz_characteristic(n, PauliLabel(n, x, z)) - chi)
-                for (x, z), chi in table.items()
-            )
+            target = ghz_state(n)
+            worst = max(abs(target.characteristic(x, z) - chi) for (x, z), chi in table.items())
             assert worst <= 1e-12, (n, worst)
             total = sum(chi * chi for chi in table.values())
             assert abs(total - 1.0) <= 1e-9, (n, total)

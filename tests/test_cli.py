@@ -1,12 +1,15 @@
 import csv
 import hashlib
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import lpsample.cli as cli
 from lpsample.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, DataError, main
+from lpsample.dfe import MAX_LEVELS
 
 
 def run(args):
@@ -68,7 +71,7 @@ GOLDEN = {
         ["dfe", "--target", "w:3", "--noise", "depolarizing:0.1", "--epsilon", 0.2, "--delta", 0.2,
          "--norm", "l1", "--runs", 3, "--seed", 6],
         {
-            "out.jsonl": "ce2a2973e9cb60c8c4f766a5390c307cb54c119ab9e9e167ab97130edc174a58",
+            "out.jsonl": "5458c3ba8edf5cfa0849caa43d428706cd6f345036cf47bb52d432f6a8db76fd",
             "out.summary.json": "c472a5c7ef9ffb17275cd6e0de61eac843483ea61cd0515dcdc9ab7025c77005",
         },
     ),
@@ -76,7 +79,7 @@ GOLDEN = {
         ["dfe", "--target", "ghz:3", "--noise", "depolarizing:0.1", "--epsilon", 0.2, "--delta", 0.2,
          "--norm", "l2", "--runs", 3, "--seed", 6],
         {
-            "out.jsonl": "9fe7f340b1ee838ee2a1887e2c1510da4d8d46d02266adf0800c4fe72908f98b",
+            "out.jsonl": "ef745305d2e0e997f15494d87fc41f0db25b8649f7d278408c53574ed9bf9ea1",
             "out.summary.json": "f3461e5a36954d67443c3b06962ebb1d5df9f092347e3e23bf79a473705bb1a8",
         },
     ),
@@ -146,6 +149,26 @@ class TestMpCurve:
             row = next(csv.DictReader(handle))
         assert row["theory_bias"] == "negative"
 
+    def test_single_trial_has_no_stderr_and_no_bias(self, tmp_path):
+        out = tmp_path / "one.csv"
+        assert run(
+            ["mp-curve", "--dist", "normal:0,1", "--m", 8, "--n", 4, "--p-grid", "1:1:1", "--trials", 1,
+             "--out", out]
+        ) == EXIT_OK
+        with open(out) as handle:
+            row = next(csv.DictReader(handle))
+        assert float(row["theory_M"]) > 0
+        assert row["stderr_M"] == "" and row["theory_bias"] == ""
+
+    def test_manifest_dist_replays_the_given_parameters(self, tmp_path):
+        args = ["mp-curve", "--m", 8, "--n", 4, "--p-grid", "1:2:1", "--trials", 3, "--seed", 2]
+        first, replay = tmp_path / "first.csv", tmp_path / "replay.csv"
+        assert run(args + ["--dist", "normal:0,1.23456789", "--out", first]) == EXIT_OK
+        dist = manifest_of(first)["params"]["dist"]
+        assert dist == "normal:0,1.23456789"
+        assert run(args + ["--dist", dist, "--out", replay]) == EXIT_OK
+        assert file_hash(replay) == file_hash(first)
+
     def test_missing_n_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["mp-curve", "--dist", "normal:0,1", "--n", "--out", tmp_path / "x.csv"])
@@ -185,6 +208,16 @@ class TestRatioTable:
         ) == EXIT_OK
         with open(out) as handle:
             assert len(list(csv.DictReader(handle))) == 1
+
+    def test_single_trial_has_no_stderr(self, tmp_path):
+        out = tmp_path / "one.csv"
+        assert run(
+            ["ratio-table", "--dists", "normal:0,1", "--m", 8, "--n-list", 2, "--trials", 1, "--out", out]
+        ) == EXIT_OK
+        with open(out) as handle:
+            row = next(csv.DictReader(handle))
+        assert float(row["mean_ratio"]) > 0
+        assert row["stderr_M1"] == row["stderr_M2"] == row["stderr_ratio"] == ""
 
 
 class TestInnerProduct:
@@ -289,6 +322,27 @@ class TestDfe:
         assert run(args + ["--out", tmp_path / "b"]) == EXIT_OK
         assert file_hash(tmp_path / "a.jsonl") == file_hash(tmp_path / "b.jsonl")
         assert file_hash(tmp_path / "a.summary.json") == file_hash(tmp_path / "b.summary.json")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--target", "w:5", "--epsilon", 0.01, "--delta", 0.00999999], ["--target", "w:63"]],
+        ids=["levels-above-cap", "qubits-above-int64"],
+    )
+    def test_run_too_large_to_simulate_is_data_error(self, argv, tmp_path, capsys):
+        assert math.ceil(1 / (0.01**2 * 0.00999999)) == MAX_LEVELS + 2
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        tracemalloc.start()
+        try:
+            code = run(["dfe", "--norm", "l1", "--runs", 1, *argv, "--out", out_dir / "dfe"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_DATA
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert list(out_dir.iterdir()) == []
+        assert peak < 2**20  # refused before any label is drawn
 
     def test_w_below_three_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,23 +10,20 @@ from lpsample.dfe import (
     TargetState,
     bound_comparison,
     depolarizing,
-    ghz_characteristic,
     ghz_state,
     no_noise,
     run_dfe,
-    sample_pauli,
     sample_paulis,
-    simulate_measurements,
-    w_characteristic,
     w_state,
     well_conditioned_check,
     z_exact,
     z_prime,
     z_upper_bound,
 )
+from lpsample.dfe import _pauli_expectation
 from lpsample.randkit import stream
 
-from oracles import characteristic_table, ghz_state_vector, tv_distance, w_state_vector
+from oracles import characteristic_table, ghz_state_vector, pauli_expectation, tv_distance, w_state_vector
 
 
 class TestPauliLabel:
@@ -60,40 +58,55 @@ class TestTargets:
 
 class TestCharacteristicClosedForms:
     def test_w_identity(self):
-        n = 3
-        label = PauliLabel(n, 0, 0)
-        assert w_characteristic(n, label) == pytest.approx(1 / math.sqrt(8), rel=1e-14)
+        assert w_state(3).characteristic(0, 0) == pytest.approx(1 / math.sqrt(8), rel=1e-14)
 
     def test_w_single_z(self):
-        n = 3
         label = PauliLabel.from_string("ZII")
-        assert abs(w_characteristic(n, label)) == pytest.approx(1 / (3 * math.sqrt(8)), rel=1e-14)
+        chi = w_state(3).characteristic(label.x_bits, label.z_bits)
+        assert abs(chi) == pytest.approx(1 / (3 * math.sqrt(8)), rel=1e-14)
 
     def test_w_odd_overlap_is_zero(self):
         label = PauliLabel.from_string("XYII")  # |x| = 2, overlap 1
-        assert w_characteristic(4, label) == 0.0
+        assert w_state(4).characteristic(label.x_bits, label.z_bits) == 0.0
 
     def test_ghz_examples(self):
-        assert ghz_characteristic(2, PauliLabel.from_string("XX")) == pytest.approx(0.5)
-        assert ghz_characteristic(2, PauliLabel.from_string("ZI")) == 0.0
-        assert ghz_characteristic(2, PauliLabel.from_string("ZZ")) == pytest.approx(0.5)
-        assert ghz_characteristic(2, PauliLabel.from_string("YY")) == pytest.approx(-0.5)
+        def chi(text):
+            label = PauliLabel.from_string(text)
+            return ghz_state(label.n).characteristic(label.x_bits, label.z_bits)
+
+        assert chi("XX") == pytest.approx(0.5)
+        assert chi("ZI") == 0.0
+        assert chi("ZZ") == pytest.approx(0.5)
+        assert chi("YY") == pytest.approx(-0.5)
         for n in (2, 3, 4):
-            assert ghz_characteristic(n, PauliLabel(n, 0, 0)) == pytest.approx(
-                1 / math.sqrt(1 << n), rel=1e-14
-            )
+            assert ghz_state(n).characteristic(0, 0) == pytest.approx(1 / math.sqrt(1 << n), rel=1e-14)
+
+    @pytest.mark.parametrize("target", [w_state(4), ghz_state(3)], ids=["w4", "ghz3"])
+    def test_array_call_matches_scalar_calls(self, target):
+        x, z = np.divmod(np.arange(4**target.n, dtype=np.int64), target.dim)
+        values = target.characteristic(x, z)
+        assert values.shape == x.shape
+        assert values.tolist() == [target.characteristic(int(a), int(b)) for a, b in zip(x, z)]
+
+    def test_rejects_masks_beyond_the_qubit_count(self):
+        with pytest.raises(ValueError):
+            w_state(3).characteristic(8, 0)
+        with pytest.raises(ValueError):
+            ghz_state(2).characteristic(np.array([0, 1]), np.array([0, -1]))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_w_matches_state_vector_oracle(self, n):
         table = characteristic_table(w_state_vector(n), n)
+        target = w_state(n)
         for (x, z), chi in table.items():
-            assert w_characteristic(n, PauliLabel(n, x, z)) == pytest.approx(chi, abs=1e-12)
+            assert target.characteristic(x, z) == pytest.approx(chi, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_ghz_matches_state_vector_oracle(self, n):
         table = characteristic_table(ghz_state_vector(n), n)
+        target = ghz_state(n)
         for (x, z), chi in table.items():
-            assert ghz_characteristic(n, PauliLabel(n, x, z)) == pytest.approx(chi, abs=1e-12)
+            assert target.characteristic(x, z) == pytest.approx(chi, abs=1e-12)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_support_normalization_by_enumeration(self, n):
@@ -185,42 +198,31 @@ class TestSamplers:
             emp = np.array([counts.get(key, 0) / x.size for key in keys])
             assert tv_distance(emp, np.full(8, 1 / 8)) < 0.01
 
-    def test_single_label_sampler(self):
-        target = w_state(4)
-        for k in range(30):
-            label = sample_pauli(target, "l1", stream(65, k))
-            assert target.characteristic(label) != 0.0
-
     def test_bad_norm(self):
         with pytest.raises(ValueError):
             sample_paulis(w_state(3), "l3", stream(0, 0), 1)
 
 
+def expectation_of(target, noise, text):
+    """The noisy expectation ``run_dfe`` simulates for one label given as a Pauli string."""
+    label = PauliLabel.from_string(text)
+    x, z = np.array([label.x_bits]), np.array([label.z_bits])
+    return float(_pauli_expectation(target, noise, x, z, target.characteristic(x, z))[0])
+
+
 class TestMeasurements:
     def test_identity_always_plus_one(self):
-        target = w_state(3)
-        out = simulate_measurements(target, depolarizing(0.7), PauliLabel(3, 0, 0), 500, stream(66, 0))
-        assert np.all(out == 1)
+        assert expectation_of(w_state(3), depolarizing(0.7), "III") == 1.0
 
     def test_fully_mixed_is_fair_coin(self):
-        target = w_state(3)
-        label = PauliLabel.from_string("ZII")
-        out = simulate_measurements(target, depolarizing(1.0), label, 200_000, stream(67, 0))
-        assert abs(float(out.mean())) < 0.01
+        assert expectation_of(w_state(3), depolarizing(1.0), "ZII") == 0.0
 
     def test_noiseless_z_mean(self):
         # oracle: tr(rho Z x I x I) = 1/3 for the three-qubit W state
-        from oracles import pauli_expectation, w_state_vector
-
         label = PauliLabel.from_string("ZII")
         oracle = pauli_expectation(w_state_vector(3), 3, label.x_bits, label.z_bits)
         assert oracle == pytest.approx(1.0 / 3.0, abs=1e-12)
-        out = simulate_measurements(w_state(3), no_noise(), label, 400_000, stream(68, 0))
-        assert float(out.mean()) == pytest.approx(oracle, abs=0.006)
-
-    def test_outcomes_are_plus_minus_one(self):
-        out = simulate_measurements(w_state(3), depolarizing(0.3), PauliLabel.from_string("XXI"), 1000, stream(69, 0))
-        assert set(np.unique(out)) <= {-1, 1}
+        assert expectation_of(w_state(3), no_noise(), "ZII") == pytest.approx(oracle, abs=1e-12)
 
 
 class TestRunDfe:
@@ -274,6 +276,47 @@ class TestRunDfe:
                 weight = 1.0 / (sqrt_d * chi)
             total += prob * weight * expectation
         assert total == pytest.approx(noise.true_fidelity(target.dim), abs=1e-12)
+
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_estimate_mean_and_variance_match_enumeration(self, norm):
+        # a level with weight w, expectation e and budget b has mean M over its
+        # b outcomes with E[w M] = w e and E[(w M)^2] = w^2 (e^2 + (1 - e^2) / b);
+        # the estimate averages l such levels. Over 500 runs the sample variance
+        # has a relative standard deviation of about sqrt(2 / 499) = 0.063, so
+        # 0.25 is four of them; one outcome per level instead of b reads 2.7 (l1)
+        target, noise = w_state(3), depolarizing(0.2)
+        eps, delta, runs = 0.3, 0.3, 500
+        levels = math.ceil(1 / (eps**2 * delta))
+        sqrt_d, z_norm, log_term = math.sqrt(target.dim), target.l1_normalizer(), math.log(2 / delta)
+        labels, chis = target.support()
+        mean = second = 0.0
+        for label, chi in zip(labels, chis):
+            e = 1.0 if label.is_identity else noise.shrink * sqrt_d * chi
+            if norm == "l1":
+                prob, weight = abs(chi) / z_norm, z_norm * math.copysign(1.0, chi) / sqrt_d
+                budget = math.ceil(2 * log_term * (target.n**2 / 4) / (levels * eps**2))
+            else:
+                prob, weight = chi * chi, 1 / (sqrt_d * chi)
+                budget = math.ceil(2 * log_term * (1 / (target.dim * chi**2)) / (levels * eps**2))
+            mean += prob * weight * e
+            second += prob * weight**2 * (e * e + (1 - e * e) / budget)
+        variance = (second - mean**2) / levels
+        assert mean == pytest.approx(noise.true_fidelity(target.dim), abs=1e-12)
+
+        estimates = np.array([run_dfe(target, noise, eps, delta, norm, stream(80, k)).estimate for k in range(runs)])
+        assert abs(estimates.mean() - mean) < 4 * math.sqrt(variance / runs)
+        assert estimates.var(ddof=1) / variance == pytest.approx(1.0, abs=0.25)
+
+    def test_memory_is_o_levels_not_o_measurements(self):
+        tracemalloc.start()
+        try:
+            run = run_dfe(w_state(60), depolarizing(0.1), 0.05, 0.1, "l1", stream(81, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one float per simulated measurement would be 2.16e6 * 8 B = 16.5 MiB alone
+        assert run.total_measurements == 4000 * 540
+        assert peak < 12 * 2**20
 
     def test_depolarized_fidelity_closed_form(self):
         run = run_dfe(w_state(5), depolarizing(0.1), 0.1, 0.2, "l1", stream(73, 0))

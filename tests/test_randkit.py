@@ -59,6 +59,18 @@ class TestSpecValidation:
         assert parse_distribution(" Uniform:-1,1 ") == uniform(-1, 1)
         assert parse_distribution("exponential:1").label() == "exponential:1"
 
+    @pytest.mark.parametrize("text", ["normal:0,1.23456789", "uniform:0.1,0.30000000000000004", "gamma:2,1e-07"])
+    def test_label_parses_back_to_the_spec(self, text):
+        spec = parse_distribution(text)
+        assert parse_distribution(spec.label()) == spec
+
+    def test_label_keeps_round_tripping_params_short(self):
+        assert [spec.label() for spec in ALL_SPECS] == [
+            "normal:0,1", "normal:2,0.5", "uniform:-1,1", "uniform:1,5", "laplace:0,1",
+            "laplace:1,1", "exponential:1", "beta:2,2", "beta:5,2", "gamma:2,2",
+        ]
+        assert parse_distribution("uniform:0.1,0.30000000000000004").label() == "uniform:0.1,0.30000000000000004"
+
     def test_parse_errors(self):
         for bad in ("cauchy:0,1", "normal", "normal:0,x", "normal:0", "uniform:2,1"):
             with pytest.raises(ValueError):
