@@ -9,10 +9,10 @@ declared default), calls ``cmd_<name>`` (which only computes and returns
 input source included. A command that raises writes no file. Numeric outputs
 are byte-reproducible for a fixed seed; timestamps live only in the manifest.
 
-Exit codes: 0 success; 2 usage (a bad flag, a count or probability out of
-range, neither or both of --matrix/--synthetic); 3 data error (a bad config
-value, or a DFE run too large to simulate, included); 4 internal invariant
-violation.
+Exit codes: 0 success; 2 usage (a bad flag, a count, exponent or probability
+out of range, neither or both of --matrix/--synthetic); 3 data error (a bad
+config value, or a DFE run whose counts or labels exceed int64, included); 4
+internal invariant violation.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -83,14 +84,19 @@ def _bounded(convert, ok, what: str):
     return parse
 
 
-_count = _bounded(int, lambda v: v >= 1, ">= 1")  # trials, runs
+def _is_exponent(p: float) -> bool:
+    return math.isfinite(p) and p >= 1.0
+
+
+_count = _bounded(int, lambda v: v >= 1, ">= 1")  # trials, runs, m, n, n_list, n_users
 _size = _bounded(int, lambda v: v >= 0, ">= 0")  # pairs, samples per trial
 _probability = _bounded(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")  # epsilon, delta
+_exponent = _bounded(float, _is_exponent, "finite and >= 1")  # p
 _dist_arg = _arg_type(parse_distribution)
 
 
 def _p_grid_arg(text: str) -> list[float]:
-    """Parse 'start:stop:step' (inclusive ends) or a comma list of p values."""
+    """Parse 'start:stop:step' (inclusive ends) or a comma list of p values, each finite and >= 1."""
     try:
         if ":" in text:
             start, stop, step = (float(tok) for tok in text.split(":"))
@@ -98,10 +104,14 @@ def _p_grid_arg(text: str) -> list[float]:
                 raise ValueError
             count = int(round((stop - start) / step))
             grid = [round(start + k * step, 12) for k in range(count + 1)]
-            return [p for p in grid if p <= stop + 1e-12]
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
+            grid = [p for p in grid if p <= stop + 1e-12]
+        else:
+            grid = [float(tok) for tok in text.split(",") if tok.strip()]
+    except (ValueError, OverflowError):
         raise argparse.ArgumentTypeError(f"bad p grid {text!r}; use start:stop:step") from None
+    if not grid or not all(map(_is_exponent, grid)):
+        raise argparse.ArgumentTypeError(f"p grid {text!r} must hold p values, each finite and >= 1")
+    return grid
 
 
 @_arg_type
@@ -138,6 +148,8 @@ def _synthetic_arg(text: str) -> dict:
             "density": float(out["density"]),
             "dist": parse_distribution(out["dist"]),
         }
+        if spec["m"] < 1 or spec["n"] < 1 or not 0.0 < spec["density"] <= 1.0:
+            raise ValueError("need m, n >= 1 and density in (0, 1]")
     except (KeyError, ValueError) as exc:
         raise argparse.ArgumentTypeError(
             f"bad synthetic spec {text!r}; use m=..,n=..,density=..,dist=family:params ({exc})"
@@ -448,7 +460,7 @@ def cmd_dfe(args) -> dict[Path, str]:
             run_dfe(target, args.noise, epsilon, args.delta, args.norm, stream(args.seed, k))
             for k in range(args.runs)
         ]
-    except ValueError as exc:  # more levels than MAX_LEVELS, or more qubits than a label holds
+    except ValueError as exc:  # more levels or measurements than int64 holds, or more qubits than a label
         raise DataError(str(exc)) from None
     lines = [
         json.dumps({**run.to_json_dict(), "seed": args.seed, "run": k}, sort_keys=True) + "\n"
@@ -513,15 +525,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curve = sub.add_parser("mp-curve", parents=[writes, trials], help="iteration-count curve over p")
     p_curve.add_argument("--dist", type=_dist_arg)
-    p_curve.add_argument("--m", type=int)
-    p_curve.add_argument("--n", type=int, nargs="+", required=True)
+    p_curve.add_argument("--m", type=_count)
+    p_curve.add_argument("--n", type=_count, nargs="+", required=True)
     p_curve.add_argument("--p-grid", type=_p_grid_arg)
     _declare(p_curve, cmd_mp_curve, dist=None, m=256, p_grid=[1.0, 1.25, 1.5, 1.75, 2.0], trials=100)
 
     p_ratio = sub.add_parser("ratio-table", parents=[writes, trials], help="M(2)/M(1) ratio grid")
     p_ratio.add_argument("--dists", type=_dist_arg, nargs="+", required=True)
-    p_ratio.add_argument("--m", type=int)
-    p_ratio.add_argument("--n-list", type=int, nargs="+", required=True)
+    p_ratio.add_argument("--m", type=_count)
+    p_ratio.add_argument("--n-list", type=_count, nargs="+", required=True)
     p_ratio.add_argument("--full", action="store_true", default=None,
                          help="reference scale: m=1024, trials=1000")
     # desk-scale defaults keep CI fast; --full restores the reference scale
@@ -530,15 +542,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ip = sub.add_parser("inner-product", parents=[writes, source, tolerance],
                           help="row-pair estimation report")
-    p_ip.add_argument("--p", type=float)
+    p_ip.add_argument("--p", type=_exponent)
     p_ip.add_argument("--pairs", type=_size)
     p_ip.add_argument("--min-overlap", dest="min_overlap", type=int)
     _declare(p_ip, cmd_inner_product, p=1.0, epsilon=0.1, delta=0.1, pairs=20, min_overlap=50)
 
     p_lc = sub.add_parser("lincomb", parents=[writes, source, trials],
                           help="linear-combination sampling cost")
-    p_lc.add_argument("--n-users", dest="n_users", type=int, nargs="+", required=True)
-    p_lc.add_argument("--p", type=float, nargs="+")
+    p_lc.add_argument("--n-users", dest="n_users", type=_count, nargs="+", required=True)
+    p_lc.add_argument("--p", type=_exponent, nargs="+")
     p_lc.add_argument("--samples-per-trial", dest="samples_per_trial", type=_size)
     _declare(p_lc, cmd_lincomb, trials=20, p=[1.0, 2.0], samples_per_trial=50)
 

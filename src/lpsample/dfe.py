@@ -18,11 +18,14 @@ Pauli labels are drawn either proportionally to ``chi^2`` (the amplitude
 scheme) or to ``|chi| / Z`` with ``Z = sum |chi|``; the latter tightens the
 n^2 coefficient of the measurement budget by a factor of 4 for the W state.
 
-``run_dfe`` draws ``l = ceil(1 / (eps^2 delta))`` labels, at most
-``MAX_LEVELS``, in one vectorised pass. Level k measures its label b_k times;
-the b_k outcomes of +-1 sum to ``2 Binomial(b_k, p_plus) - b_k``, so each level
-mean is drawn as one binomial count and a run's memory is O(l) however many
-measurements it simulates.
+Under depolarizing noise a level's outcome and budget depend on its label only
+through chi and whether it is the identity, and both targets split their
+support into O(n) label classes sharing both (``_label_classes``). ``run_dfe``
+therefore draws how many of its ``l = ceil(1 / (eps^2 delta))`` levels fall in
+each class as one multinomial count, and each class's outcomes as one binomial
+count: the b outcomes of +-1 of a level sum to ``2 Binomial(b, p_plus) - b``,
+and binomials with the same p add. A run's time and memory are O(n) whatever
+l and the measurement count are, up to int64 counts.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "MAX_LEVELS",
     "PauliLabel",
     "TargetState",
     "NoiseModel",
@@ -57,10 +59,8 @@ _PAULI_CHARS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 # int64 bit masks bound the simulable qubit count; the exact-integer Z
 # identities below have no such limit
 _MAX_SIM_QUBITS = 62
-# Largest level count ceil(1 / (eps^2 delta)) run_dfe accepts; it admits
-# eps = delta = 0.01. The W label draw holds a few levels x n arrays of 8-byte
-# entries (a 146 MiB peak at 10^5 levels and n = 60), so memory grows with it.
-MAX_LEVELS = 1_000_000
+# level and measurement counts are int64 in NumPy's multinomial and binomial
+_MAX_COUNT = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -155,9 +155,8 @@ class TargetState:
 
     def l1_normalizer(self) -> float:
         """Sum of |chi| over all labels."""
-        if self.kind == "w":
-            return z_exact(self.n)
-        return math.sqrt(self.dim)
+        _, _, count, chi = _label_classes(self)
+        return float(np.sum(_class_weights(count, chi, "l1")))
 
     def conditioning_alpha(self) -> float:
         """Conditioning parameter: 1/n for the W state, 1 for GHZ."""
@@ -252,22 +251,53 @@ def z_upper_bound(n: int) -> float:
     return (n / 2.0 + 1.0 / math.sqrt(n) - 0.5) * math.sqrt(2.0) ** n
 
 
-# -- label sampling ------------------------------------------------------------
+# -- label classes and sampling --------------------------------------------------
 
 
-def _choose_positions(rng: np.random.Generator, count: int, n: int, weights: np.ndarray) -> np.ndarray:
-    """Bit masks with w_i set bits each, positions uniform; w_i ~ weights."""
-    w = rng.choice(n + 1, size=count, p=weights)
-    # rank trick: the w_i smallest uniforms in each row mark the chosen bits
-    u = rng.random((count, n))
-    ranks = np.argsort(np.argsort(u, axis=1), axis=1)
-    mask = (ranks < w[:, None]).astype(np.int64)
-    return mask @ (np.int64(1) << np.arange(n, dtype=np.int64))
+def _label_classes(target: TargetState) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(rep_x, rep_z, count, chi)`` of the classes of labels with nonzero chi.
+
+    Every label in a class has the class's chi and is the identity exactly when
+    the representative is. W: Z weight k with no X bits (k = 0..n), plus two X
+    bits with even X/Z overlap. GHZ: X part empty or full times even Z weight.
+    Representatives set the lowest bits; counts are floats.
+    """
+    n = target.n
+    if n > _MAX_SIM_QUBITS:
+        raise ValueError(f"label classes support at most {_MAX_SIM_QUBITS} qubits")
+    weights = np.arange(n + 1)
+    lowest = (np.int64(1) << weights) - 1  # the `weight` lowest bits set
+    combs = np.array([math.comb(n, w) for w in weights], dtype=np.float64)
+    if target.kind == "w":
+        x = np.append(np.zeros(n + 1, dtype=np.int64), 0b11)
+        z = np.append(lowest, 0)
+        count = np.append(combs, math.comb(n, 2) * 2.0 ** (n - 1))
+    else:
+        x = np.repeat(np.array([0, (1 << n) - 1], dtype=np.int64), n // 2 + 1)
+        z = np.tile(lowest[::2], 2)
+        count = np.tile(combs[::2], 2)
+    chi = target.characteristic(x, z)
+    keep = chi != 0.0
+    return x[keep], z[keep], count[keep], chi[keep]
 
 
-def _uniform_bits(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    bits = rng.integers(0, 2, size=(count, n), dtype=np.int64)
-    return bits @ (np.int64(1) << np.arange(n, dtype=np.int64))
+def _class_weights(count: np.ndarray, chi: np.ndarray, norm: str) -> np.ndarray:
+    """Total |chi| (``l1``) or chi^2 (``l2``) of each class's labels."""
+    if norm not in ("l1", "l2"):
+        raise ValueError("norm must be 'l1' or 'l2'")
+    return count * (np.abs(chi) if norm == "l1" else chi**2)
+
+
+def _subsets(rng: np.random.Generator, n: int, sizes: np.ndarray) -> np.ndarray:
+    """Bit masks of uniform ``sizes[i]``-subsets of n positions, by selection sampling."""
+    masks = np.zeros(sizes.shape, dtype=np.int64)
+    left = sizes.astype(np.int64)
+    for position in range(n):
+        # take this position with probability (positions still needed) / (positions left)
+        take = rng.integers(n - position, size=sizes.shape) < left
+        masks |= take.astype(np.int64) << position
+        left -= take
+    return masks
 
 
 def sample_paulis(
@@ -275,58 +305,24 @@ def sample_paulis(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized label sampling; returns (x_bits, z_bits) int64 arrays.
 
-    For the W state the amplitude scheme uses branch weights proportional to
-    chi^2 and the L1 scheme weights proportional to |chi|; for GHZ both
-    schemes coincide with the uniform distribution over the stabilizer
-    labels.
+    Draws each label's class with probability proportional to count * |chi|
+    (``l1``) or count * chi^2 (``l2``), then a uniform label within it. For
+    GHZ both schemes are uniform over the stabilizer labels.
     """
-    if norm not in ("l1", "l2"):
-        raise ValueError("norm must be 'l1' or 'l2'")
+    x_rep, z_rep, count, chi = _label_classes(target)
     n = target.n
-    if n > _MAX_SIM_QUBITS:
-        raise ValueError(f"sampling supports at most {_MAX_SIM_QUBITS} qubits")
-
-    if target.kind == "ghz":
-        full = np.int64((1 << n) - 1)
-        x = np.where(rng.random(size) < 0.5, full, np.int64(0))
-        head = rng.integers(0, 2, size=(size, n - 1), dtype=np.int64)
-        parity = head.sum(axis=1) % 2
-        z = head @ (np.int64(1) << np.arange(n - 1, dtype=np.int64))
-        z |= parity.astype(np.int64) << (n - 1)
-        return x, z
-
-    d_sqrt = math.sqrt(target.dim)
-    w_values = np.arange(n + 1)
-    combs = np.array([math.comb(n, w) for w in w_values], dtype=np.float64)
-    if norm == "l1":
-        z_norm = z_exact(n)
-        second_prob = (n - 1) * d_sqrt / (2.0 * z_norm)
-        w_weights = combs * np.abs(n - 2 * w_values)
-    else:
-        second_prob = (n - 1) / n
-        w_weights = combs * (n - 2 * w_values) ** 2
-    w_weights = w_weights / w_weights.sum()
-
-    second = rng.random(size) < second_prob
-    x = np.zeros(size, dtype=np.int64)
-    z = np.zeros(size, dtype=np.int64)
-
-    count1 = int(size - second.sum())
-    if count1:
-        z[~second] = _choose_positions(rng, count1, n, w_weights)
-    count2 = int(second.sum())
-    if count2:
-        pair_weights = np.zeros(n + 1)
-        pair_weights[2] = 1.0
-        x2 = _choose_positions(rng, count2, n, pair_weights)
-        z2 = _uniform_bits(rng, count2, n)
-        # flipping z at the lowest X position maps odd-overlap strings onto
-        # even ones bijectively, so the restriction stays uniform
-        odd = np.bitwise_count(x2 & z2) % 2 == 1
-        z2 = np.where(odd, z2 ^ (x2 & -x2), z2)
-        x[second] = x2
-        z[second] = z2
-    return x, z
+    weights = _class_weights(count, chi, norm)
+    classes = rng.choice(chi.size, size=size, p=weights / weights.sum())
+    x_weight = np.bitwise_count(x_rep)[classes]
+    x = _subsets(rng, n, x_weight)
+    # the W two-X class has every Z part of even overlap: draw a uniform Z
+    # part (a Binomial(n, 1/2) weight), then flip its bit at the lowest X
+    # position where the overlap is odd, a bijection onto the even ones
+    pair = (x_weight == 2) & (target.kind == "w")
+    z_weight = np.where(pair, rng.binomial(n, 0.5, size), np.bitwise_count(z_rep)[classes])
+    z = _subsets(rng, n, z_weight)
+    odd = pair & (np.bitwise_count(x & z) % 2 == 1)
+    return x, np.where(odd, z ^ (x & -x), z)
 
 
 # -- the estimator ---------------------------------------------------------------
@@ -334,7 +330,9 @@ def sample_paulis(
 
 @dataclass(frozen=True)
 class DfeRun:
-    """Configuration and outcome of one fidelity-estimation experiment."""
+    """Configuration and outcome of one fidelity-estimation experiment: ``class_levels[c]``
+    levels drew a label of class c (``_label_classes``), measured ``class_budgets[c]`` times each.
+    """
 
     target: TargetState
     noise: NoiseModel
@@ -342,7 +340,8 @@ class DfeRun:
     delta: float
     norm: str
     levels: int
-    level_budgets: np.ndarray
+    class_levels: np.ndarray
+    class_budgets: np.ndarray
     total_measurements: int
     estimate: float
     true_fidelity: float
@@ -365,14 +364,12 @@ class DfeRun:
 def _level_budgets(
     target: TargetState, norm: str, epsilon: float, delta: float, levels: int, chi: np.ndarray
 ) -> np.ndarray:
-    log_term = math.log(2.0 / delta)
     if norm == "l1":
         # the W budget bounds Z^2/d by n^2/4; for GHZ the exact value is 1
-        scale = target.n ** 2 / 4.0 if target.kind == "w" else 1.0
-        per_level = math.ceil(2.0 * log_term * scale / (levels * epsilon ** 2))
-        return np.full(levels, per_level, dtype=np.int64)
-    inv = 1.0 / (target.dim * chi ** 2)
-    return np.ceil(2.0 * log_term * inv / (levels * epsilon ** 2)).astype(np.int64)
+        inv = np.full(chi.shape, target.n ** 2 / 4.0 if target.kind == "w" else 1.0)
+    else:
+        inv = 1.0 / (target.dim * chi ** 2)
+    return np.ceil(2.0 * math.log(2.0 / delta) * inv / (levels * epsilon ** 2)).astype(np.int64)
 
 
 def _pauli_expectation(
@@ -396,37 +393,38 @@ def run_dfe(
 ) -> DfeRun:
     """One full fidelity-estimation experiment.
 
-    Draws ``l = ceil(1 / (eps^2 delta))`` Pauli labels under the chosen
-    scheme (``ValueError`` above ``MAX_LEVELS``), draws each level's mean
-    over its measurement budget as one binomial count, and aggregates the
-    reweighted level means; the result satisfies
-    ``Pr[|estimate - F| >= 2 eps] <= 2 delta``.
+    Draws the label classes of ``l = ceil(1 / (eps^2 delta))`` levels under
+    the chosen scheme, draws each class's summed outcomes over its levels'
+    measurement budgets as one binomial count, and aggregates the reweighted
+    level means; the result satisfies ``Pr[|estimate - F| >= 2 eps] <= 2 delta``.
+    Raises ``ValueError`` when l or the measurement total exceeds int64.
     """
     if not (0.0 < epsilon < 1.0 and 0.0 < delta < 1.0):
         raise ValueError("epsilon and delta must lie in (0, 1)")
-    if norm not in ("l1", "l2"):
-        raise ValueError("norm must be 'l1' or 'l2'")
 
-    levels = math.ceil(1.0 / (epsilon ** 2 * delta))
-    if levels > MAX_LEVELS:
-        raise ValueError(
-            f"epsilon {epsilon:g} and delta {delta:g} need {levels} levels, above the cap of {MAX_LEVELS}"
-        )
-    x_arr, z_arr = sample_paulis(target, norm, rng, levels)
-    chi = target.characteristic(x_arr, z_arr)
-    expectation = _pauli_expectation(target, noise, x_arr, z_arr, chi)
+    scale = epsilon ** 2 * delta  # tested first so that 1 / scale is finite
+    levels = math.ceil(1.0 / scale) if scale * _MAX_COUNT >= 1.0 else _MAX_COUNT + 1
+    if levels > _MAX_COUNT:
+        raise ValueError(f"epsilon {epsilon:g} and delta {delta:g} need more than {_MAX_COUNT} levels")
+    x, z, count, chi = _label_classes(target)
+    class_weights = _class_weights(count, chi, norm)
+    class_levels = rng.multinomial(levels, class_weights / class_weights.sum())
     budgets = _level_budgets(target, norm, epsilon, delta, levels, chi)
+    total = sum(int(a) * int(b) for a, b in zip(class_levels, budgets))
+    if total > _MAX_COUNT:
+        raise ValueError(f"epsilon {epsilon:g} and delta {delta:g} need {total} measurements, above {_MAX_COUNT}")
     sqrt_d = math.sqrt(target.dim)
-    if norm == "l1":
-        weights = target.l1_normalizer() * np.sign(chi) / sqrt_d
+    if norm == "l1":  # class_weights sum to the l1 normalizer
+        weights = class_weights.sum() * np.sign(chi) / sqrt_d
     else:
         weights = 1.0 / (sqrt_d * chi)
 
-    # b outcomes of +-1 with Pr[+1] = p sum to 2 Binomial(b, p) - b, so each
-    # level mean is one binomial count and memory stays O(levels)
-    p_plus = np.clip((1.0 + expectation) / 2.0, 0.0, 1.0)
-    level_means = (2 * rng.binomial(budgets, p_plus) - budgets) / budgets
-    estimate = float(np.mean(weights * level_means))
+    # a class's levels take class_levels * budget outcomes of +-1 with the same
+    # Pr[+1]; their level means sum to (2 Binomial(that count, p_plus) - count) / budget
+    p_plus = np.clip((1.0 + _pauli_expectation(target, noise, x, z, chi)) / 2.0, 0.0, 1.0)
+    outcomes = class_levels * budgets
+    mean_sums = (2.0 * rng.binomial(outcomes, p_plus) - outcomes) / budgets
+    estimate = float(np.sum(weights * mean_sums)) / levels
 
     return DfeRun(
         target=target,
@@ -435,8 +433,9 @@ def run_dfe(
         delta=float(delta),
         norm=norm,
         levels=levels,
-        level_budgets=budgets,
-        total_measurements=int(budgets.sum()),
+        class_levels=class_levels,
+        class_budgets=budgets,
+        total_measurements=total,
         estimate=estimate,
         true_fidelity=noise.true_fidelity(target.dim),
     )

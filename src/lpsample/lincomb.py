@@ -186,11 +186,7 @@ class CombinationSampler:
             self._cap = 10_000 * max(1, math.ceil(expected_iterations))
         else:
             self._cap = _DEFAULT_ITERATION_CAP
-        self._dense_cache = None
-
-    @property
-    def proposal_tree(self) -> WeightedVectorTree:
-        return self._proposal_tree
+        self._ratios = None
 
     def sample(self, rng: np.random.Generator) -> RejectionSampleResult:
         """Draw one index from the target distribution.
@@ -219,11 +215,9 @@ class CombinationSampler:
         acceptance).  Reads the stored matrix once up front, so per-sample
         query accounting does not apply; use :meth:`sample` for that.
         """
-        if self._dense_cache is None:
-            dense = self._mt.dense()
-            ratios = acceptance_ratios(dense, self._x, self._p)
-            self._dense_cache = ratios
-        ratios = self._dense_cache
+        if self._ratios is None:
+            self._ratios = acceptance_ratios(self._mt.dense(), self._x, self._p)
+        ratios = self._ratios
         accepted = np.empty(count, dtype=np.int64)
         got = 0
         proposals = 0

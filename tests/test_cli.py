@@ -9,7 +9,6 @@ import pytest
 
 import lpsample.cli as cli
 from lpsample.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, DataError, main
-from lpsample.dfe import MAX_LEVELS
 
 
 def run(args):
@@ -71,7 +70,7 @@ GOLDEN = {
         ["dfe", "--target", "w:3", "--noise", "depolarizing:0.1", "--epsilon", 0.2, "--delta", 0.2,
          "--norm", "l1", "--runs", 3, "--seed", 6],
         {
-            "out.jsonl": "5458c3ba8edf5cfa0849caa43d428706cd6f345036cf47bb52d432f6a8db76fd",
+            "out.jsonl": "250402d68805d44e23457d0a03476783a57e73885c8a9806f4824c1a3e7ca015",
             "out.summary.json": "c472a5c7ef9ffb17275cd6e0de61eac843483ea61cd0515dcdc9ab7025c77005",
         },
     ),
@@ -79,7 +78,7 @@ GOLDEN = {
         ["dfe", "--target", "ghz:3", "--noise", "depolarizing:0.1", "--epsilon", 0.2, "--delta", 0.2,
          "--norm", "l2", "--runs", 3, "--seed", 6],
         {
-            "out.jsonl": "ef745305d2e0e997f15494d87fc41f0db25b8649f7d278408c53574ed9bf9ea1",
+            "out.jsonl": "6fe95fefc67d6685777b89e77e35606b12e791fedc5425b925d46330dad54cc4",
             "out.summary.json": "f3461e5a36954d67443c3b06962ebb1d5df9f092347e3e23bf79a473705bb1a8",
         },
     ),
@@ -325,11 +324,17 @@ class TestDfe:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--target", "w:5", "--epsilon", 0.01, "--delta", 0.00999999], ["--target", "w:63"]],
-        ids=["levels-above-cap", "qubits-above-int64"],
+        [
+            ["--target", "w:5", "--epsilon", 1e-10, "--delta", 0.1],
+            ["--target", "w:5", "--epsilon", 5e-10, "--delta", 0.9],
+            ["--target", "w:5", "--epsilon", 1e-200],
+            ["--target", "w:63"],
+        ],
+        ids=["levels-above-cap", "measurements-above-cap", "eps-squared-underflows", "qubits-above-int64"],
     )
     def test_run_too_large_to_simulate_is_data_error(self, argv, tmp_path, capsys):
-        assert math.ceil(1 / (0.01**2 * 0.00999999)) == MAX_LEVELS + 2
+        # 1e21 levels; 4.4e18 levels (below 2^63) of 9 measurements each; eps^2 delta == 0.0
+        assert math.ceil(1 / (1e-10**2 * 0.1)) > 2**63 - 1 > math.ceil(1 / (5e-10**2 * 0.9))
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         tracemalloc.start()
@@ -342,7 +347,20 @@ class TestDfe:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert list(out_dir.iterdir()) == []
-        assert peak < 2**20  # refused before any label is drawn
+        assert peak < 2**20  # refused before any outcome is drawn
+
+    def test_10_to_the_15_levels_run_in_constant_memory(self, tmp_path):
+        out = tmp_path / "dfe"
+        tracemalloc.start()
+        try:
+            code = run(["dfe", "--target", "w:5", "--norm", "l1", "--epsilon", 1e-5, "--delta", 1e-5,
+                        "--runs", 1, "--out", out])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert json.loads((tmp_path / "dfe.jsonl").read_text())["l"] == 10**15
+        assert peak < 4 * 2**20
 
     def test_w_below_three_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -440,7 +458,14 @@ def test_commands_are_looked_up_when_called(command, ratings_file, tmp_path, mon
 
 
 BAD_VALUES = [
+    ("mp-curve", "m", 0),
+    ("mp-curve", "m", -3),
+    ("mp-curve", "p_grid", ","),
+    ("mp-curve", "p_grid", "0.5"),
+    ("mp-curve", "p_grid", "1,inf"),
+    ("mp-curve", "p_grid", "0.5:2:0.5"),
     ("mp-curve", "trials", 0),
+    ("ratio-table", "m", 0),
     ("ratio-table", "trials", 0),
     ("lincomb", "trials", 0),
     ("lincomb", "samples_per_trial", -1),
@@ -448,6 +473,10 @@ BAD_VALUES = [
     ("inner-product", "epsilon", 0),
     ("inner-product", "epsilon", 1.5),
     ("inner-product", "delta", 1),
+    ("inner-product", "p", 0.5),
+    ("inner-product", "p", "nan"),
+    ("lincomb", "p", 0.5),
+    ("lincomb", "p", "inf"),
     ("dfe", "epsilon", 0),
     ("dfe", "delta", -0.1),
     ("dfe", "runs", 0),
@@ -461,9 +490,12 @@ def test_bad_count_or_probability_is_rejected(command, dest, value, source, rati
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     argv = minimal_argv(command, ratings_file, out_dir / "out")
+    flag = "--" + dest.replace("_", "-")
+    if flag in argv:  # drop the minimal argv's own value, which a config could not override
+        del argv[argv.index(flag) : argv.index(flag) + 2]
     if source == "flag":
         with pytest.raises(SystemExit) as exc:
-            run(argv + ["--" + dest.replace("_", "-"), value])
+            run(argv + [flag, value])
         assert exc.value.code == EXIT_USAGE
     else:
         config = tmp_path / "config.json"
@@ -471,6 +503,35 @@ def test_bad_count_or_probability_is_rejected(command, dest, value, source, rati
         assert run(argv + ["--config", config]) == EXIT_DATA
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and repr(dest) in lines[0]
+    assert list(out_dir.iterdir()) == []
+
+
+# required flags, which a config cannot set
+BAD_FLAGS = [
+    ["mp-curve", "--dist", "normal:0,1", "--n", 0],
+    ["mp-curve", "--dist", "normal:0,1", "--n", 4, -1],
+    ["ratio-table", "--dists", "normal:0,1", "--n-list", 0],
+    ["lincomb", "--matrix", MATRIX, "--n-users", 0],
+    ["inner-product", "--synthetic", "m=0,n=4,density=0.5,dist=normal:0,1"],
+    ["inner-product", "--synthetic", "m=4,n=0,density=0.5,dist=normal:0,1"],
+    ["lincomb", "--synthetic", "m=4,n=4,density=0,dist=normal:0,1", "--n-users", 1],
+    ["lincomb", "--synthetic", "m=4,n=4,density=1.5,dist=normal:0,1", "--n-users", 1],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    BAD_FLAGS,
+    ids=["n-0", "n-negative", "n-list-0", "n-users-0", "synthetic-m-0", "synthetic-n-0", "synthetic-density-0",
+         "synthetic-density-above-1"],
+)
+def test_bad_required_flag_is_usage_error(argv, ratings_file, tmp_path):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = [ratings_file if a is MATRIX else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", out_dir / "out"])
+    assert exc.value.code == EXIT_USAGE
     assert list(out_dir.iterdir()) == []
 
 

@@ -20,7 +20,7 @@ from lpsample.dfe import (
     z_prime,
     z_upper_bound,
 )
-from lpsample.dfe import _pauli_expectation
+from lpsample.dfe import _label_classes, _pauli_expectation
 from lpsample.randkit import stream
 
 from oracles import characteristic_table, ghz_state_vector, pauli_expectation, tv_distance, w_state_vector
@@ -145,6 +145,39 @@ class TestNormalizerIdentities:
         assert z_upper_bound(3) >= z_exact(3)
 
 
+class TestLabelClasses:
+    @pytest.mark.parametrize(
+        "target",
+        [w_state(n) for n in range(3, 10)] + [ghz_state(n) for n in range(2, 10)],
+        ids=lambda t: f"{t.kind}{t.n}",
+    )
+    def test_classes_match_the_support(self, target):
+        # group the enumerated support by (chi, is-identity), the class table likewise
+        labels, chis = target.support()
+        expected = {}
+        for label, chi in zip(labels, chis.tolist()):
+            key = (chi, label.is_identity)
+            expected[key] = expected.get(key, 0) + 1
+        x, z, count, chi = _label_classes(target)
+        assert np.array_equal(chi, target.characteristic(x, z))
+        table = {}
+        for key, c in zip(zip(chi.tolist(), ((x == 0) & (z == 0)).tolist()), count.tolist()):
+            table[key] = table.get(key, 0) + c
+        assert table == expected
+
+    @pytest.mark.parametrize("n", range(3, 63))
+    def test_w_l1_sum_is_z_exact(self, n):
+        _, _, count, chi = _label_classes(w_state(n))
+        assert float(np.sum(count * np.abs(chi))) == pytest.approx(z_exact(n), rel=1e-12)
+        assert w_state(n).l1_normalizer() == pytest.approx(z_exact(n), rel=1e-12)
+
+    def test_rejects_more_qubits_than_a_label_holds(self):
+        with pytest.raises(ValueError):
+            _label_classes(w_state(63))
+        with pytest.raises(ValueError):
+            sample_paulis(ghz_state(63), "l1", stream(0, 0), 1)
+
+
 class TestSamplers:
     def test_l1_calibration_w3(self):
         target = w_state(3)
@@ -237,16 +270,17 @@ class TestRunDfe:
         eps, delta = 0.05, 0.1
         run = run_dfe(w_state(5), depolarizing(0.1), eps, delta, "l1", stream(71, 0))
         levels = math.ceil(1.0 / (eps**2 * delta))
-        assert run.levels == levels == 4000
+        assert run.levels == levels == 4000 == run.class_levels.sum()
         per_level = math.ceil(math.log(2 / delta) * 25 / (2 * levels * eps**2))
-        assert np.all(run.level_budgets == per_level)
+        assert np.all(run.class_budgets == per_level)
         assert run.total_measurements == levels * per_level
 
     def test_l2_budgets_follow_sampled_chi(self):
         eps, delta = 0.1, 0.2
         rng = stream(72, 0)
         run = run_dfe(w_state(3), depolarizing(0.05), eps, delta, "l2", rng)
-        assert run.level_budgets.min() >= 1
+        assert run.class_budgets.min() >= 1
+        assert run.total_measurements == int(run.class_levels @ run.class_budgets)
         # every budget must be one of the admissible per-chi values
         target = w_state(3)
         _, chis = target.support()
@@ -254,7 +288,7 @@ class TestRunDfe:
             math.ceil(2 * math.log(2 / delta) / (eps**2 * run.levels * target.dim * c**2))
             for c in chis
         }
-        assert set(run.level_budgets.tolist()) <= admissible
+        assert set(run.class_budgets.tolist()) <= admissible
 
     @pytest.mark.parametrize("norm", ["l1", "l2"])
     def test_exact_unbiasedness_by_enumeration(self, norm):
@@ -277,24 +311,29 @@ class TestRunDfe:
             total += prob * weight * expectation
         assert total == pytest.approx(noise.true_fidelity(target.dim), abs=1e-12)
 
-    @pytest.mark.parametrize("norm", ["l1", "l2"])
-    def test_estimate_mean_and_variance_match_enumeration(self, norm):
+    @pytest.mark.parametrize(
+        "target, norm",
+        [(w_state(3), "l1"), (w_state(3), "l2"), (ghz_state(3), "l1"), (ghz_state(3), "l2")],
+        ids=["l1", "l2", "ghz3-l1", "ghz3-l2"],
+    )
+    def test_estimate_mean_and_variance_match_enumeration(self, target, norm):
         # a level with weight w, expectation e and budget b has mean M over its
         # b outcomes with E[w M] = w e and E[(w M)^2] = w^2 (e^2 + (1 - e^2) / b);
         # the estimate averages l such levels. Over 500 runs the sample variance
         # has a relative standard deviation of about sqrt(2 / 499) = 0.063, so
-        # 0.25 is four of them; one outcome per level instead of b reads 2.7 (l1)
-        target, noise = w_state(3), depolarizing(0.2)
+        # 0.25 is four of them; one outcome per level instead of b reads 2.7 (W, l1)
+        noise = depolarizing(0.2)
         eps, delta, runs = 0.3, 0.3, 500
         levels = math.ceil(1 / (eps**2 * delta))
         sqrt_d, z_norm, log_term = math.sqrt(target.dim), target.l1_normalizer(), math.log(2 / delta)
+        l1_scale = target.n**2 / 4 if target.kind == "w" else 1.0
         labels, chis = target.support()
         mean = second = 0.0
         for label, chi in zip(labels, chis):
             e = 1.0 if label.is_identity else noise.shrink * sqrt_d * chi
             if norm == "l1":
                 prob, weight = abs(chi) / z_norm, z_norm * math.copysign(1.0, chi) / sqrt_d
-                budget = math.ceil(2 * log_term * (target.n**2 / 4) / (levels * eps**2))
+                budget = math.ceil(2 * log_term * l1_scale / (levels * eps**2))
             else:
                 prob, weight = chi * chi, 1 / (sqrt_d * chi)
                 budget = math.ceil(2 * log_term * (1 / (target.dim * chi**2)) / (levels * eps**2))
@@ -318,6 +357,32 @@ class TestRunDfe:
         assert run.total_measurements == 4000 * 540
         assert peak < 12 * 2**20
 
+    @pytest.mark.parametrize(
+        "call, limit",
+        [
+            (lambda: run_dfe(w_state(60), depolarizing(0.1), 0.01, 0.1, "l1", stream(82, 0)), 2**20),
+            (lambda: sample_paulis(w_state(60), "l1", stream(83, 0), 10**5), 16 * 2**20),
+        ],
+        ids=["run_dfe-w60-eps0.01", "sample_paulis-w60-1e5"],
+    )
+    def test_memory_is_o_n_per_level_draw(self, call, limit):
+        # 10^5 levels of 60 qubits; a levels x n array of 8-byte entries is 46 MiB.
+        # The warm-up call takes the first call's one-time allocations (about 1 MiB)
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
+
+    def test_10_to_the_15_levels_run(self):
+        run = run_dfe(w_state(5), depolarizing(0.1), 1e-5, 1e-5, "l1", stream(84, 0))
+        assert run.levels == run.class_levels.sum() == math.ceil(1 / (1e-5**2 * 1e-5))
+        assert run.total_measurements == run.levels * int(run.class_budgets[0])
+        assert abs(run.estimate - run.true_fidelity) < 1e-3
+
     def test_depolarized_fidelity_closed_form(self):
         run = run_dfe(w_state(5), depolarizing(0.1), 0.1, 0.2, "l1", stream(73, 0))
         assert run.true_fidelity == pytest.approx(0.903125, abs=1e-12)
@@ -331,7 +396,7 @@ class TestRunDfe:
     def test_ghz_budgets_norm_independent(self):
         a = run_dfe(ghz_state(4), depolarizing(0.1), 0.1, 0.2, "l1", stream(75, 0))
         b = run_dfe(ghz_state(4), depolarizing(0.1), 0.1, 0.2, "l2", stream(75, 0))
-        assert np.array_equal(a.level_budgets, b.level_budgets)
+        assert np.array_equal(a.class_budgets, b.class_budgets)
         assert a.total_measurements == b.total_measurements
 
     def test_json_schema(self):

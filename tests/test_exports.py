@@ -2,11 +2,14 @@
 
 The benchmark's span tracer looks up each ``__all__`` name with ``getattr``,
 so a name left in ``__all__`` after its code is deleted breaks traced runs.
+The README's library quickstart must run against the names it imports.
 """
 
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +33,12 @@ def test_package_reexports_only_declared_names():
         attr for attr, obj in reexported.items() if attr not in importlib.import_module(obj.__module__).__all__
     ]
     assert undeclared == []
+
+
+def test_readme_library_quickstart_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quickstart\s+```python\n(.*?)```", readme, re.DOTALL)
+    assert block is not None
+    namespace = {}
+    exec(compile(block.group(1), "README.md quickstart", "exec"), namespace)
+    assert (namespace["m1"], namespace["m2"]) == (1.5, 1.25)
