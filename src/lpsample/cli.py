@@ -53,6 +53,9 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
+# most steps a start:stop:step p grid may take; each point costs a full mp_curve pass
+MAX_P_GRID = 10_000
+
 # namespace entries that are plumbing, not parameters of the computation
 _NOT_PARAMS = {"command", "func", "declared", "config", "seed", "out"}
 
@@ -102,7 +105,10 @@ def _p_grid_arg(text: str) -> list[float]:
             start, stop, step = (float(tok) for tok in text.split(":"))
             if step <= 0 or stop < start:
                 raise ValueError
-            count = int(round((stop - start) / step))
+            span = (stop - start) / step
+            if span > MAX_P_GRID:  # checked before the list exists
+                raise argparse.ArgumentTypeError(f"p grid {text!r} takes more than {MAX_P_GRID} steps")
+            count = int(round(span))
             grid = [round(start + k * step, 12) for k in range(count + 1)]
             grid = [p for p in grid if p <= stop + 1e-12]
         else:
@@ -326,10 +332,13 @@ def cmd_ratio_table(args) -> dict[Path, str]:
     return {Path(args.out): _csv(header, rows)}
 
 
-def _eligible_pairs(dense: np.ndarray, pairs: int, min_overlap: int, rng) -> list[tuple[int, int]]:
-    nonzero = dense != 0.0
-    row_weight = nonzero.sum(axis=1)
-    candidates = np.flatnonzero(row_weight > 0)
+def _overlap(matrix: SparseMatrix, a: int, b: int) -> int:
+    """Number of columns where rows a and b are both nonzero."""
+    return np.intersect1d(matrix.support(a), matrix.support(b), assume_unique=True).size
+
+
+def _eligible_pairs(matrix: SparseMatrix, pairs: int, min_overlap: int, rng) -> list[tuple[int, int]]:
+    candidates = matrix.nonzero_rows()
     if candidates.size < 2:
         raise DataError("matrix has fewer than two nonzero rows")
     found: list[tuple[int, int]] = []
@@ -338,8 +347,7 @@ def _eligible_pairs(dense: np.ndarray, pairs: int, min_overlap: int, rng) -> lis
     while len(found) < pairs and attempts < limit:
         attempts += 1
         a, b = rng.choice(candidates, size=2, replace=False)
-        overlap = int(np.sum(nonzero[a] & nonzero[b]))
-        if overlap >= min_overlap:
+        if _overlap(matrix, a, b) >= min_overlap:
             found.append((int(a), int(b)))
     if len(found) < pairs:
         raise DataError(
@@ -350,12 +358,11 @@ def _eligible_pairs(dense: np.ndarray, pairs: int, min_overlap: int, rng) -> lis
 
 def cmd_inner_product(args) -> dict[Path, str]:
     matrix = _load_input_matrix(args)
-    dense = matrix.to_dense()
     records = []
     if args.pairs > 0:
         rng = stream(args.seed, 1_000_000_000)
-        for k, (a, b) in enumerate(_eligible_pairs(dense, args.pairs, args.min_overlap, rng)):
-            x, y = dense[a], dense[b]
+        for k, (a, b) in enumerate(_eligible_pairs(matrix, args.pairs, args.min_overlap, rng)):
+            x, y = matrix.dense_rows([a, b])
             tree = WeightedVectorTree(x, args.p)
             report = estimate_inner_product(
                 tree, y, args.epsilon, args.delta, stream(args.seed, k), compute_scale=False
@@ -366,7 +373,7 @@ def cmd_inner_product(args) -> dict[Path, str]:
                 {
                     "row_a": a,
                     "row_b": b,
-                    "overlap": int(np.sum((x != 0) & (y != 0))),
+                    "overlap": _overlap(matrix, a, b),
                     "true_inner_product": float(x @ y),
                     "estimate": report.estimate,
                     "total_samples": report.total_samples,
@@ -397,8 +404,7 @@ def cmd_inner_product(args) -> dict[Path, str]:
 
 def cmd_lincomb(args) -> dict[Path, str]:
     matrix = _load_input_matrix(args)
-    dense = matrix.to_dense()
-    user_rows = np.flatnonzero((dense != 0).any(axis=1))
+    user_rows = matrix.nonzero_rows()
     results = []
     for n_users in args.n_users:
         if n_users > user_rows.size:
@@ -407,7 +413,7 @@ def cmd_lincomb(args) -> dict[Path, str]:
         for t in range(args.trials):
             rng = stream(args.seed, t)
             chosen = rng.choice(user_rows, size=n_users, replace=False)
-            combo_matrix = dense[chosen].T  # items become rows, users columns
+            combo_matrix = matrix.dense_rows(chosen).T  # items become rows, users columns
             coeffs = rng.normal(0.0, 1.0, n_users)
             if not np.any(combo_matrix @ coeffs != 0.0):
                 continue

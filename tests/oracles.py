@@ -123,3 +123,65 @@ def inverse_cdf_indices(weights, u):
     """
     weights = np.asarray(weights, dtype=float)
     return np.searchsorted(np.cumsum(weights), np.asarray(u) * weights.sum(), side="right")
+
+
+# -- sparse inputs -----------------------------------------------------------------
+
+
+def to_dense(matrix):
+    """Dense m x n array of a sparse matrix's triplets, duplicates summed into zeros."""
+    out = np.zeros((matrix.m, matrix.n))
+    np.add.at(out, (matrix.rows, matrix.cols), matrix.vals)
+    return out
+
+
+def parse_entry_lines(lines, first, comment, sep, m, n):
+    """Per-line reference parse of ``lines[first:]`` into 0-based (row, col, value) triplets.
+
+    Blank lines and lines starting with ``comment`` are skipped; any other line
+    must hold exactly three ``sep``-separated fields (whitespace when ``sep`` is
+    None), in range and finite. Raises ``ValueError`` naming the first bad line.
+    """
+    triplets = []
+    for lineno, line in enumerate(lines[first:], start=first + 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith(comment):
+            continue
+        parts = stripped.split(sep)
+        if len(parts) != 3:
+            raise ValueError(f"line {lineno}: expected three fields")
+        try:
+            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-numeric field") from None
+        if not (1 <= i <= m and 1 <= j <= n and math.isfinite(v)):
+            raise ValueError(f"line {lineno}: entry out of range or non-finite")
+        triplets.append((i - 1, j - 1, v))
+    return triplets
+
+
+def dense_from_triplets(m, n, triplets):
+    out = np.zeros((m, n))
+    for i, j, v in triplets:
+        out[i, j] += v
+    return out
+
+
+def eligible_pairs_dense(dense, pairs, min_overlap, rng):
+    """Row pairs drawn as the CLI draws them, from a dense nonzero mask.
+
+    Returns the pairs found within the attempt limit (possibly fewer than
+    ``pairs``), or None when fewer than two rows hold a nonzero value.
+    """
+    nonzero = dense != 0.0
+    candidates = np.flatnonzero(nonzero.sum(axis=1) > 0)
+    if candidates.size < 2:
+        return None
+    found = []
+    attempts = 0
+    while len(found) < pairs and attempts < max(2000, 200 * pairs):
+        attempts += 1
+        a, b = rng.choice(candidates, size=2, replace=False)
+        if int(np.sum(nonzero[a] & nonzero[b])) >= min_overlap:
+            found.append((int(a), int(b)))
+    return found

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -9,6 +10,9 @@ import pytest
 
 import lpsample.cli as cli
 from lpsample.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, DataError, main
+from lpsample.randkit import stream
+from lpsample.sparseio import load_matrix
+from oracles import eligible_pairs_dense, to_dense
 
 
 def run(args):
@@ -464,6 +468,8 @@ BAD_VALUES = [
     ("mp-curve", "p_grid", "0.5"),
     ("mp-curve", "p_grid", "1,inf"),
     ("mp-curve", "p_grid", "0.5:2:0.5"),
+    ("mp-curve", "p_grid", "1:100001:0.1"),
+    ("mp-curve", "p_grid", "1:1e300:1e-300"),
     ("mp-curve", "trials", 0),
     ("ratio-table", "m", 0),
     ("ratio-table", "trials", 0),
@@ -504,6 +510,60 @@ def test_bad_count_or_probability_is_rejected(command, dest, value, source, rati
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and repr(dest) in lines[0]
     assert list(out_dir.iterdir()) == []
+
+
+def test_p_grid_size_is_bounded_before_the_grid_is_built():
+    tracemalloc.start()
+    try:
+        with pytest.raises(argparse.ArgumentTypeError, match=f"more than {cli.MAX_P_GRID} steps"):
+            cli._p_grid_arg("1:1e7:1e-3")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # 10^10 floats were asked for
+    assert len(cli._p_grid_arg(f"1:{1 + cli.MAX_P_GRID}:1")) == cli.MAX_P_GRID + 1
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_eligible_pairs_match_a_dense_mask_oracle(seed, tmp_path):
+    # small matrices full of explicit zeros, -0.0 and cancelling duplicates
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(2, 12)), int(rng.integers(1, 10))
+    lines = [f"{m},{n}"]
+    for _ in range(int(rng.integers(0, 3 * m * n))):
+        value = rng.choice(["0", "-0.0", "1", "-1", "2.5"])
+        lines.append(f"{rng.integers(1, m + 1)},{rng.integers(1, n + 1)},{value}")
+    path = tmp_path / "z.csv"
+    path.write_text("\n".join(lines) + "\n")
+    matrix = load_matrix(path)
+    for pairs, min_overlap in ((1, 0), (3, 1), (4, 2), (2, n + 1)):
+        expected = eligible_pairs_dense(to_dense(matrix), pairs, min_overlap, stream(seed, 1))
+        if expected is None or len(expected) < pairs:
+            with pytest.raises(DataError):
+                cli._eligible_pairs(matrix, pairs, min_overlap, stream(seed, 1))
+        else:
+            assert cli._eligible_pairs(matrix, pairs, min_overlap, stream(seed, 1)) == expected
+
+
+# the dense form of this matrix is 800 MB, and the old Bernoulli mask another 900 MB
+LARGE_SYNTHETIC = "m=20000,n=5000,density=0.001,dist=uniform:1,5"
+
+
+@pytest.mark.parametrize("argv", [
+    ["inner-product", "--synthetic", LARGE_SYNTHETIC, "--pairs", 3, "--min-overlap", 1],
+    ["lincomb", "--synthetic", LARGE_SYNTHETIC, "--n-users", 5, 20, "--trials", 3],
+], ids=["inner-product", "lincomb"])
+def test_large_sparse_input_runs_in_order_nnz_memory(argv, tmp_path):
+    out = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        code = run(argv + ["--seed", 1, "--out", out])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert json.loads(out.read_text())["params"]["matrix"]["nnz"] > 90_000
+    assert peak < 50 * 2**20
 
 
 # required flags, which a config cannot set
