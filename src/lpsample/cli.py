@@ -33,15 +33,8 @@ import numpy as np
 from . import __version__
 from .dfe import NoiseModel, TargetState, bound_comparison, depolarizing, no_noise, run_dfe
 from .estimators import error_scale, estimate_inner_product
-from .lincomb import (
-    CombinationSampler,
-    NonTerminationError,
-    _stderr,
-    exact_m,
-    mp_curve,
-    run_ratio_experiment,
-)
-from .ptree import EmptyDistributionError, TreeAuditError, WeightedMatrixTree, WeightedVectorTree
+from .lincomb import NonTerminationError, _stderr, measure_mp, mp_curve, run_ratio_experiment
+from .ptree import EmptyDistributionError, TreeAuditError, WeightedVectorTree
 from .randkit import DistributionSpec, normal, parse_distribution, stream
 from .sparseio import SparseFormatError, SparseMatrix, load_matrix, synthetic_sparse
 
@@ -91,7 +84,7 @@ def _is_exponent(p: float) -> bool:
     return math.isfinite(p) and p >= 1.0
 
 
-_count = _bounded(int, lambda v: v >= 1, ">= 1")  # trials, runs, m, n, n_list, n_users
+_count = _bounded(int, lambda v: v >= 1, ">= 1")  # trials, runs, m, n, n_list, n_users, min_overlap
 _size = _bounded(int, lambda v: v >= 0, ">= 0")  # pairs, samples per trial
 _probability = _bounded(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")  # epsilon, delta
 _exponent = _bounded(float, _is_exponent, "finite and >= 1")  # p
@@ -421,16 +414,12 @@ def cmd_lincomb(args) -> dict[Path, str]:
                 try:
                     # overflow is reported once, as the DataError below
                     with np.errstate(over="ignore", invalid="ignore"):
-                        exact = exact_m(combo_matrix, coeffs, p)
+                        report = measure_mp(combo_matrix, coeffs, p, args.samples_per_trial, rng)
                 except ValueError as exc:
                     raise DataError(f"cannot compute M({p:g}): {exc}") from exc
-                per_p[p]["exact"].append(exact)
-                if args.samples_per_trial > 0:
-                    sampler = CombinationSampler(
-                        WeightedMatrixTree(combo_matrix, p), coeffs, expected_iterations=exact
-                    )
-                    _, proposals = sampler.sample_many(rng, args.samples_per_trial)
-                    per_p[p]["iters"].append(proposals / args.samples_per_trial)
+                per_p[p]["exact"].append(report.exact)
+                if report.empirical is not None:
+                    per_p[p]["iters"].append(report.empirical)
         for p in args.p:
             exact_arr = np.array(per_p[p]["exact"])
             iters_arr = np.array(per_p[p]["iters"]) if per_p[p]["iters"] else None
@@ -550,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="row-pair estimation report")
     p_ip.add_argument("--p", type=_exponent)
     p_ip.add_argument("--pairs", type=_size)
-    p_ip.add_argument("--min-overlap", dest="min_overlap", type=int)
+    p_ip.add_argument("--min-overlap", dest="min_overlap", type=_count)
     _declare(p_ip, cmd_inner_product, p=1.0, epsilon=0.1, delta=0.1, pairs=20, min_overlap=50)
 
     p_lc = sub.add_parser("lincomb", parents=[writes, source, trials],

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ptree import EmptyDistributionError, WeightedMatrixTree, WeightedVectorTree
+from .ptree import EmptyDistributionError, WeightedMatrixTree, WeightedVectorTree, _magnitudes
 from .randkit import DistributionSpec, MomentProfile, moment_profile, stream
 
 __all__ = [
@@ -118,29 +118,35 @@ def _combination_inputs(A, x) -> tuple[np.ndarray, np.ndarray]:
 _NOT_FINITE = "A and x must be finite, and |.|^p must not overflow"
 
 
-def exact_m(A, x, p: float) -> float:
+def exact_m(A, x, p):
     """Closed-form expected proposals per accepted sample,
     ``n^(p-1) * sum_ij |x_j A_ij|^p / sum_i |(Ax)_i|^p``.
+
+    Takes one p (returns a float) or a sequence of p (returns a float array
+    in the same order); ``A @ x`` is computed once for the whole grid.
     """
     A, x = _combination_inputs(A, x)
     n = x.size
     combo = A @ x
-    denominator = float(np.sum(np.abs(combo) ** p))
-    numerator = float(np.abs(x) ** p @ np.sum(np.abs(A) ** p, axis=0))
-    if not (math.isfinite(numerator) and math.isfinite(denominator)):
-        raise ValueError(_NOT_FINITE)
-    if denominator == 0.0:
-        raise ValueError("Ax is zero: the target distribution is undefined")
-    return n ** (p - 1.0) * numerator / denominator
+    grid = np.asarray(p, dtype=np.float64)
+    out = np.empty(grid.shape)
+    for k, q in enumerate(grid.ravel().tolist()):
+        denominator = float(np.sum(_magnitudes(combo, q)))
+        numerator = float(_magnitudes(x, q) @ np.sum(_magnitudes(A, q), axis=0))
+        if not (math.isfinite(numerator) and math.isfinite(denominator)):
+            raise ValueError(_NOT_FINITE)
+        if denominator == 0.0:
+            raise ValueError("Ax is zero: the target distribution is undefined")
+        out.flat[k] = n ** (q - 1.0) * numerator / denominator
+    return out if out.ndim else float(out)
 
 
 def acceptance_ratios(A, x, p: float) -> np.ndarray:
     """Per-row acceptance ratio r_i; rows no proposal can reach are zero."""
     A, x = _combination_inputs(A, x)
     n = x.size
-    weighted = np.abs(A * x) ** p
-    denom = n ** (p - 1.0) * weighted.sum(axis=1)
-    num = np.abs(A @ x) ** p
+    denom = n ** (p - 1.0) * _magnitudes(A * x, p).sum(axis=1)
+    num = _magnitudes(A @ x, p)
     if not (np.all(np.isfinite(denom)) and np.all(np.isfinite(num))):
         raise ValueError(_NOT_FINITE)
     out = np.zeros(A.shape[0])
@@ -172,7 +178,7 @@ class CombinationSampler:
         if not np.all(np.isfinite(self._x)):
             raise ValueError("coefficients must be finite")
 
-        weights = np.abs(self._x) ** self._p * matrix_tree.column_pnorm_powers()
+        weights = _magnitudes(self._x, self._p) * matrix_tree.column_pnorm_powers()
         if not np.any(weights > 0):
             raise EmptyDistributionError("every term x_j * column_j is zero")
         self._proposal_tree = WeightedVectorTree._from_magnitudes(
@@ -202,7 +208,7 @@ class CombinationSampler:
             j = self._proposal_tree.sample_index(rng)
             i = mt.sample_row(j, rng)
             terms = self._x * mt.query_row(i)
-            denominator = float(np.sum(np.abs(terms) ** self._p))
+            denominator = float(np.sum(_magnitudes(terms, self._p)))
             ratio = abs(float(terms.sum())) ** self._p / (self._scale * denominator)
             if rng.random() < ratio:
                 return RejectionSampleResult(i, iterations, self._setup_queries + iterations * n)
@@ -255,15 +261,21 @@ def sample_from_combination(
 
 
 def measure_mp(A, x, p: float, samples: int, rng: np.random.Generator) -> MpReport:
-    """Run the rejection sampler and compare measured iterations to the closed form."""
+    """Run the rejection sampler and compare measured iterations to the closed form.
+
+    With ``samples`` = 0 only the closed form is reported (``empirical`` and
+    ``stderr`` are ``None``) and ``rng`` is not used.
+    """
     A = np.asarray(A, dtype=np.float64)
+    m, n = A.shape
     exact = exact_m(A, x, p)
+    if samples == 0:
+        return MpReport(p, m, n, exact, None, 0)
     sampler = CombinationSampler(WeightedMatrixTree(A, p), x, expected_iterations=exact)
     _, proposals = sampler.sample_many(rng, samples)
     empirical = proposals / samples
     # proposals per accepted sample are geometric with mean M
     stderr = math.sqrt(max(exact * (exact - 1.0), 0.0) / samples)
-    m, n = A.shape
     return MpReport(p, m, n, exact, empirical, samples, stderr)
 
 
@@ -298,6 +310,20 @@ def _draw_instance(spec_a, spec_x, m, n, rng, max_redraws):
             raise NonTerminationError(redraws)
 
 
+def _trial_table(spec_a, spec_x, m, n, p_grid, trials, seed, max_redraws):
+    """M(p) of each trial's fresh (A, x) as a (len(p_grid), trials) table, and the redraws.
+    Trial t owns stream (seed, t), so results replay under any parallel schedule."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    table = np.empty((len(p_grid), trials))
+    redraws = 0
+    for t in range(trials):
+        A, x, extra = _draw_instance(spec_a, spec_x, m, n, stream(seed, t), max_redraws)
+        redraws += extra
+        table[:, t] = exact_m(A, x, p_grid)
+    return table, redraws
+
+
 def run_ratio_experiment(
     m: int,
     n: int,
@@ -308,22 +334,8 @@ def run_ratio_experiment(
     *,
     max_redraws: int = 100,
 ) -> RatioExperimentReport:
-    """Average M(1), M(2) and the per-instance ratio M(2)/M(1) over fresh draws.
-
-    Each trial owns stream (seed, trial) so results replay under any
-    parallel schedule.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    m1 = np.empty(trials)
-    m2 = np.empty(trials)
-    redraws = 0
-    for t in range(trials):
-        rng = stream(seed, t)
-        A, x, extra = _draw_instance(spec_a, spec_x, m, n, rng, max_redraws)
-        redraws += extra
-        m1[t] = exact_m(A, x, 1.0)
-        m2[t] = exact_m(A, x, 2.0)
+    """Average M(1), M(2) and the per-instance ratio M(2)/M(1) over fresh draws."""
+    (m1, m2), redraws = _trial_table(spec_a, spec_x, m, n, [1.0, 2.0], trials, seed, max_redraws)
     ratio = m2 / m1
 
     def _report(p, vals):
@@ -362,12 +374,7 @@ def mp_curve(
     p_grid = [float(p) for p in p_grid]
     if not p_grid:
         raise ValueError("p grid must be non-empty")
-    values = np.empty((len(p_grid), trials))
-    for t in range(trials):
-        rng = stream(seed, t)
-        A, x, _ = _draw_instance(spec, spec, m, n, rng, max_redraws)
-        for k, p in enumerate(p_grid):
-            values[k, t] = exact_m(A, x, p)
+    values, _ = _trial_table(spec, spec, m, n, p_grid, trials, seed, max_redraws)
 
     zero_mean = spec.mean() == 0.0
     points = []

@@ -55,11 +55,14 @@ def _check_exponent(p: float) -> float:
 
 
 def _magnitudes(values: np.ndarray, p: float) -> np.ndarray:
+    """``|values|**p`` of a float64 array, as a new array."""
     if p == 1.0:
         return np.abs(values)
     if p == 2.0:
         return values * values
-    return np.abs(values) ** p
+    mags = np.abs(values)
+    mags **= p  # in place: one temporary fewer than np.abs(values) ** p
+    return mags
 
 
 def _signed_values(magnitudes: np.ndarray, signs: np.ndarray, p: float) -> np.ndarray:

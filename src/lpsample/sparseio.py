@@ -232,7 +232,7 @@ def load_matrix(path, fmt: str = "auto") -> SparseMatrix:
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     if fmt == "auto":
-        first = next((ln for ln in lines if ln.strip()), "")
+        first = next((ln.strip() for ln in lines if ln.strip()), "")
         fmt = "matrix-market" if first.startswith("%%MatrixMarket") else "csv-coo"
     if fmt == "matrix-market":
         return _load_matrix_market(lines)

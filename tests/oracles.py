@@ -57,6 +57,19 @@ def combination_distribution(A, x, p):
     return weights / weights.sum()
 
 
+def exact_m_one_p(A, x, p):
+    """M(p) for one p, written as the plain NumPy formula with ``**`` powers.
+
+    The library's grid form must equal this bit for bit: the sums keep the
+    same order, and its p = 1 and p = 2 shortcuts round as ``**`` does.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    denominator = float(np.sum(np.abs(A @ x) ** p))
+    numerator = float(np.abs(x) ** p @ np.sum(np.abs(A) ** p, axis=0))
+    return x.size ** (p - 1.0) * numerator / denominator
+
+
 def tv_distance(p, q):
     return 0.5 * float(np.sum(np.abs(np.asarray(p) - np.asarray(q))))
 

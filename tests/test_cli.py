@@ -476,6 +476,8 @@ BAD_VALUES = [
     ("lincomb", "trials", 0),
     ("lincomb", "samples_per_trial", -1),
     ("inner-product", "pairs", -1),
+    ("inner-product", "min_overlap", 0),
+    ("inner-product", "min_overlap", -1),
     ("inner-product", "epsilon", 0),
     ("inner-product", "epsilon", 1.5),
     ("inner-product", "delta", 1),

@@ -18,10 +18,11 @@ from lpsample.lincomb import (
 from lpsample.ptree import EmptyDistributionError, build_matrix_tree
 from lpsample.randkit import exponential, moment_profile, normal, stream, uniform
 
-from oracles import combination_distribution, tv_distance
+from oracles import combination_distribution, exact_m_one_p, tv_distance
 
 COUNTER_A = np.array([[1.0, 1.0], [2.0, -2.0]])
 COUNTER_X = np.array([1.0, -1.0])
+GRID = [1.0, 1.25, 1.5, 2.0, 3.0]
 
 
 class TestExactM:
@@ -71,6 +72,45 @@ class TestExactM:
             exact_m(A, x, 2.0)
         with pytest.raises(ValueError):
             acceptance_ratios(A, x, 2.0)
+
+    def test_grid_equals_one_p_oracle_bit_for_bit(self):
+        rng = stream(56, 0)
+        checked = 0
+        for size in range(1, 41):
+            for m, n in ((size, int(rng.integers(1, 41))), (int(rng.integers(1, 41)), size)):
+                A = rng.normal(size=(m, n)) * rng.exponential(1.0)
+                x = rng.normal(size=n)
+                if n >= 2:
+                    A[:, 0] = 0.0  # a zero column
+                if n >= 3:
+                    x[1] = 0.0  # a zero coefficient on a nonzero column
+                if not np.any(A @ x != 0.0):
+                    continue
+                expected = [exact_m_one_p(A, x, p) for p in GRID]
+                assert exact_m(A, x, GRID).tolist() == expected, (m, n)
+                assert [exact_m(A, x, p) for p in GRID] == expected, (m, n)
+                checked += 1
+        assert checked >= 70
+
+    def test_one_p_gives_a_float_and_a_grid_an_array(self):
+        assert type(exact_m(COUNTER_A, COUNTER_X, 2.0)) is float
+        assert type(exact_m(COUNTER_A, COUNTER_X, np.float64(1.0))) is float
+        grid = exact_m(COUNTER_A, COUNTER_X, (2, 1))
+        assert isinstance(grid, np.ndarray) and grid.dtype == np.float64
+        assert grid.tolist() == [1.25, 1.5]
+
+    @pytest.mark.parametrize("p", GRID)
+    def test_grid_rejects_overflow_and_non_finite_at_each_p(self, p):
+        big = 1e308 ** (1.0 / p)  # |big|^p is near 1e308, so a sum of two overflows
+        grid = [q for q in GRID if q < p] + [p]  # every earlier point is finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            for A, x in (([[big, big]], [1.0, 1.0]), ([[math.nan, 1.0]], [1.0, 1.0])):
+                with pytest.raises(ValueError, match="finite"):
+                    exact_m(A, x, p)
+                with pytest.raises(ValueError, match="finite"):
+                    exact_m(A, x, grid)
+            if p > 1.0:
+                assert math.isfinite(exact_m([[big, big]], [1.0, 1.0], grid[0]))
 
     def test_acceptance_ratios_shape_checked(self):
         with pytest.raises(ValueError):
@@ -188,6 +228,13 @@ class TestMeasureMp:
             report = measure_mp(A, x, p, 20_000, stream(55, trial))
             assert report.empirical == pytest.approx(report.exact, abs=3 * report.stderr + 1e-9)
 
+    def test_zero_samples_reports_the_closed_form_only(self):
+        rng = stream(57, 0)
+        report = measure_mp(COUNTER_A, COUNTER_X, 2.0, 0, rng)
+        assert report.exact == exact_m(COUNTER_A, COUNTER_X, 2.0)
+        assert (report.empirical, report.stderr, report.trials) == (None, None, 0)
+        assert rng.random() == stream(57, 0).random()  # the stream was not advanced
+
 
 class TestTheory:
     def test_normal_limits(self):
@@ -243,6 +290,18 @@ class TestTheory:
         means = [pt.mean_m for pt in points]
         assert all(b >= a for a, b in zip(means, means[1:]))
         assert all(pt.theory_m is not None for pt in points)
+
+    def test_mp_curve_and_ratio_experiment_share_their_draws(self):
+        rep = run_ratio_experiment(16, 8, normal(0, 1), normal(0, 1), 12, seed=5)
+        m1, m2 = mp_curve(16, 8, normal(0, 1), [1.0, 2.0], 12, seed=5)
+        assert (m1.mean_m, m1.stderr_m) == (rep.m1.exact, rep.m1.stderr)
+        assert (m2.mean_m, m2.stderr_m) == (rep.m2.exact, rep.m2.stderr)
+
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials"):
+            mp_curve(4, 3, normal(0, 1), [1.0], 0, seed=1)
+        with pytest.raises(ValueError, match="trials"):
+            run_ratio_experiment(4, 3, normal(0, 1), normal(0, 1), 0, seed=1)
 
     def test_mp_curve_no_theory_for_nonzero_mean(self):
         points = mp_curve(16, 8, exponential(1), [1.0, 2.0], 10, seed=1)

@@ -75,6 +75,13 @@ class TestMatrixMarket:
         path = write(tmp_path, "a.anything", self.HEADER + "1 1 1\n1 1 9\n")
         assert to_dense(load_matrix(path, "auto"))[0, 0] == 9
 
+    def test_auto_detection_of_an_indented_header(self, tmp_path):
+        path = write(tmp_path, "a.mtx", "\n   " + self.HEADER + "2 3 2\n1 1 4.0\n2 3 -2.0\n")
+        auto, explicit = load_matrix(path, "auto"), load_matrix(path, "matrix-market")
+        assert (auto.m, auto.n) == (explicit.m, explicit.n) == (2, 3)
+        for field in ("rows", "cols", "vals"):
+            assert np.array_equal(getattr(auto, field), getattr(explicit, field))
+
     def test_wrong_header(self, tmp_path):
         path = write(tmp_path, "a.mtx", "%%MatrixMarket matrix array real general\n1 1 1\n")
         with pytest.raises(SparseFormatError, match="coordinate"):
