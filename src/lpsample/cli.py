@@ -362,6 +362,8 @@ def cmd_inner_product(args) -> dict[Path, str]:
             )
             scale1 = error_scale(x, y, 1.0)
             scale2 = error_scale(x, y, 2.0)
+            if scale1 == 0.0:
+                raise DataError(f"rows {a} and {b}: the p = 1 error scale underflows to zero")
             records.append(
                 {
                     "row_a": a,

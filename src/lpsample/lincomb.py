@@ -376,12 +376,11 @@ def mp_curve(
         raise ValueError("p grid must be non-empty")
     values, _ = _trial_table(spec, spec, m, n, p_grid, trials, seed, max_redraws)
 
-    zero_mean = spec.mean() == 0.0
-    points = []
-    for k, p in enumerate(p_grid):
-        theory = None
-        if zero_mean:
-            profile = moment_profile(spec, p, mode="auto", seed=seed)
-            theory = theoretical_mp(profile, n)
-        points.append(MpCurvePoint(p, n, m, trials, float(values[k].mean()), _stderr(values[k]), theory))
-    return points
+    if spec.mean() == 0.0:
+        theory = [theoretical_mp(profile, n) for profile in moment_profile(spec, p_grid, seed=seed)]
+    else:
+        theory = [None] * len(p_grid)
+    return [
+        MpCurvePoint(p, n, m, trials, float(values[k].mean()), _stderr(values[k]), theory[k])
+        for k, p in enumerate(p_grid)
+    ]

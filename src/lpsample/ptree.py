@@ -3,7 +3,9 @@
 A vector tree stores ``|x_i|**p`` at its leaves together with ``sign(x_i)``,
 and every internal node holds the sum of its two children, so the root equals
 ``sum_i |x_i|**p``.  Sampling an index with probability ``|x_i|**p / root``,
-updating one entry, and reading an entry or the root are all O(log n).
+updating one entry, and reading an entry or the root are all O(log n); these
+scalar operations walk a memoryview of the node buffer, on Python floats, and
+an update recomputes each ancestor from its two children with one read a level.
 
 The matrix variant is a layout of one vector tree: the entries in
 column-major order, each column padded to a power-of-two stride, so every
@@ -83,7 +85,7 @@ class WeightedVectorTree:
     touched by the most recent sample or update, for cost-accounting tests.
     """
 
-    __slots__ = ("_p", "_n", "_capacity", "_depth", "_nodes", "_signs", "last_op_visits")
+    __slots__ = ("_p", "_n", "_capacity", "_depth", "_nodes", "_view", "_signs", "last_op_visits")
 
     def __init__(self, values, p: float):
         values = np.asarray(values, dtype=np.float64)
@@ -129,6 +131,7 @@ class WeightedVectorTree:
         self._depth = capacity.bit_length() - 1
         self._nodes = np.zeros(2 * capacity - 1, dtype=np.float64)
         self._nodes[capacity - 1 : capacity - 1 + n] = magnitudes
+        self._view = memoryview(self._nodes)  # shares _nodes' buffer; reads give floats
         self._signs = signs
         self.last_op_visits = 0
         self.rebuild()
@@ -154,7 +157,7 @@ class WeightedVectorTree:
 
     def query_pnorm_power(self) -> float:
         """Root value, equal to the p-th power of the p-norm of the vector."""
-        return float(self._nodes[0])
+        return self._view[0]
 
     def query_entry(self, i: int) -> float:
         """Signed entry ``sign_i * magnitude_i**(1/p)``."""
@@ -163,12 +166,10 @@ class WeightedVectorTree:
 
     def _entry(self, i: int) -> float:
         leaf = self._capacity - 1 + i
-        mag = self._nodes[leaf]
+        mag = self._view[leaf]
         s = int(self._signs[i])
-        if s == 0:
-            return 0.0
         if self._p == 1.0:
-            return s * float(mag)
+            return s * mag
         if self._p == 2.0:
             return s * math.sqrt(mag)
         # one-element slices take entries()' NumPy routine; see update_entry
@@ -180,7 +181,7 @@ class WeightedVectorTree:
 
     def probabilities(self) -> np.ndarray:
         """Sampling distribution over indices, ``|x_i|**p / root``."""
-        root = self._nodes[0]
+        root = self._view[0]
         if root <= 0.0:
             raise EmptyDistributionError("all entries are zero")
         return self.leaf_magnitudes / root
@@ -194,7 +195,7 @@ class WeightedVectorTree:
         and going left iff it falls below the left child's value, so
         zero-weight subtrees are never entered.
         """
-        if self._nodes[0] <= 0.0:
+        if self._view[0] <= 0.0:
             raise EmptyDistributionError("all entries are zero")
         index = self._descend(rng, 0, self._depth)
         self.last_op_visits = self._depth + 1
@@ -206,7 +207,7 @@ class WeightedVectorTree:
         Same distribution as :meth:`sample_index`, not the same stream: one
         uniform per draw (see :meth:`_descend_many`) instead of one per level.
         """
-        if self._nodes[0] <= 0.0:
+        if self._view[0] <= 0.0:
             raise EmptyDistributionError("all entries are zero")
         return self._descend_many(rng, np.zeros(size, dtype=np.int64), self._depth)
 
@@ -215,7 +216,7 @@ class WeightedVectorTree:
 
         One uniform per level; the caller checks that ``node`` has weight.
         """
-        nodes = self._nodes
+        nodes = self._view
         for _ in range(levels):
             left = 2 * node + 1
             node = left if rng.random() * nodes[node] < nodes[left] else left + 1
@@ -279,15 +280,16 @@ class WeightedVectorTree:
         else:
             sign = 1 if value > 0 else -1
         self._signs[i] = sign
-        nodes = self._nodes
+        nodes = self._view
         idx = self._capacity - 1 + i
         nodes[idx] = mag
         visits = 1
-        # each ancestor is recomputed from its children, keeping parent sums
-        # exact (no incremental-delta drift)
+        # carry the sum just written up the path: each ancestor is its two children's
+        # sum (IEEE addition commutes, so the bits are left + right), never a drifting delta
         while idx > 0:
-            idx = (idx - 1) // 2
-            nodes[idx] = nodes[2 * idx + 1] + nodes[2 * idx + 2]
+            mag += nodes[idx + 1 if idx & 1 else idx - 1]  # the sibling
+            idx = (idx - 1) >> 1
+            nodes[idx] = mag
             visits += 1
         self.last_op_visits = visits
 
@@ -347,6 +349,10 @@ class WeightedVectorTree:
         signs = np.frombuffer(buf, dtype=np.int8, count=n, offset=head)
         mags = np.frombuffer(buf, dtype="<f8", count=n, offset=head + n)
         return cls._from_magnitudes(mags, signs, p)
+
+    def __reduce__(self):
+        # copy and pickle go through the flat layout, as a memoryview cannot be pickled
+        return (self.from_bytes, (self.to_bytes(),))
 
     def _check_index(self, i: int) -> None:
         if not 0 <= i < self._n:
@@ -412,7 +418,7 @@ class WeightedMatrixTree:
 
     def column_pnorm_power(self, j: int) -> float:
         self._check_column(j)
-        return float(self._tree._nodes[self._column_root + j])
+        return self._tree._view[self._column_root + j]
 
     def column_pnorm_powers(self) -> np.ndarray:
         """All n column p-norm powers, as a new array."""
@@ -435,7 +441,7 @@ class WeightedMatrixTree:
         """Draw a row of column j with probability ``|A_ij|**p / ||A^(j)||_p^p``."""
         self._check_column(j)
         node = self._column_root + j
-        if self._tree._nodes[node] <= 0.0:
+        if self._tree._view[node] <= 0.0:
             raise EmptyDistributionError(f"column {j} is all zero")
         return self._tree._descend(rng, node, self._row_levels) - j * self._stride
 

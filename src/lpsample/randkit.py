@@ -240,37 +240,40 @@ def _closed_form_abs_moments(spec: DistributionSpec, p: float) -> tuple[float, f
 
 def moment_profile(
     spec: DistributionSpec,
-    p: float,
+    p,
     mode: str = "auto",
     *,
     samples: int = 200_000,
     seed: int = 0,
-) -> MomentProfile:
+) -> MomentProfile | list[MomentProfile]:
     """Moment profile via closed forms (zero-mean normal, symmetric uniform)
     or Monte Carlo for the remaining families.
+
+    Takes one p (returns a profile) or a sequence of p (returns a list in grid
+    order).  Monte Carlo draws and takes ``abs`` of one sample for the whole
+    grid and raises it to each p, so every point has the bits of a one-p call.
     """
-    p = float(p)
-    if not math.isfinite(p) or p < 1.0:
-        raise ValueError(f"exponent p must be finite and >= 1, got {p}")
     if mode not in ("auto", "closed-form", "monte-carlo"):
         raise ValueError(f"unknown mode {mode!r}")
+    grid = np.asarray(p, dtype=np.float64)
     sigma2 = spec.variance()
-    mu_tilde = gaussian_abs_moment(sigma2, p)
-
-    closed = _closed_form_abs_moments(spec, p) if mode != "monte-carlo" else None
-    if closed is not None:
-        mu_p, var_p = closed
-        return MomentProfile(p, sigma2, mu_p, var_p, mu_tilde, "closed-form")
-    if mode == "closed-form":
-        raise ValueError(f"no closed form for {spec.label()}; use monte-carlo")
-
-    if samples < 10_000:
-        raise ValueError("monte-carlo moment profiles need at least 10^4 samples")
-    rng = stream(seed, _MOMENT_STREAM_ID)
-    a = np.abs(spec.sample(rng, samples)) ** p
-    mu_p = float(a.mean())
-    var_p = float(a.var(ddof=1))
-    stderr = math.sqrt(var_p / samples)
-    return MomentProfile(
-        p, sigma2, mu_p, var_p, mu_tilde, f"monte-carlo(n={samples},seed={seed})", stderr
-    )
+    magnitudes, profiles = None, []
+    for q in grid.ravel().tolist():
+        if not math.isfinite(q) or q < 1.0:
+            raise ValueError(f"exponent p must be finite and >= 1, got {q}")
+        mu_tilde = gaussian_abs_moment(sigma2, q)
+        closed = _closed_form_abs_moments(spec, q) if mode != "monte-carlo" else None
+        if closed is not None:
+            profiles.append(MomentProfile(q, sigma2, *closed, mu_tilde, "closed-form"))
+            continue
+        if mode == "closed-form":
+            raise ValueError(f"no closed form for {spec.label()}; use monte-carlo")
+        if magnitudes is None:
+            if samples < 10_000:
+                raise ValueError("monte-carlo moment profiles need at least 10^4 samples")
+            magnitudes = np.abs(spec.sample(stream(seed, _MOMENT_STREAM_ID), samples))
+        a = magnitudes ** q
+        mu_p, var_p = float(a.mean()), float(a.var(ddof=1))
+        method = f"monte-carlo(n={samples},seed={seed})"
+        profiles.append(MomentProfile(q, sigma2, mu_p, var_p, mu_tilde, method, math.sqrt(var_p / samples)))
+    return profiles if grid.ndim else profiles[0]

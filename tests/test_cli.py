@@ -254,6 +254,17 @@ class TestInnerProduct:
         assert code == EXIT_DATA
         assert "no eligible pairs" in capsys.readouterr().err
 
+    def test_underflowing_error_scale_is_data_error(self, tmp_path, capsys):
+        # |x_i| * y_i^2 = 1e-600 underflows, so the p = 1 scale is exactly zero
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("3,4\n1,1,1e-200\n1,2,1e-200\n2,1,1e-200\n2,2,1e-200\n")
+        out = tmp_path / "ip.json"
+        code = run(["inner-product", "--matrix", matrix, "--pairs", 1, "--min-overlap", 1, "--out", out])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
+
     def test_synthetic_source(self, tmp_path):
         out = tmp_path / "ip.json"
         assert run(

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -218,6 +220,30 @@ class TestUpdate:
         for i, value in enumerate(x.tolist()):
             updated.update_entry(i, value)
         assert updated.to_bytes() == built.to_bytes()
+        assert updated._nodes.tobytes() == built._nodes.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 7), st.integers(1, 7), st.booleans(),
+           st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    def test_updated_sums_are_bytewise_a_fresh_build(self, data, m, n, matrix, p):
+        # every internal sum, not only the leaves, must equal a rebuild's; an
+        # incremental-delta update drifts here.  Sizes are rarely powers of two.
+        shape = (m, n) if matrix else (m * n,)
+        value = st.floats(-50, 50, allow_nan=False)
+        values = np.array(data.draw(st.lists(value, min_size=m * n, max_size=m * n))).reshape(shape)
+        build = build_matrix_tree if matrix else build_vector_tree
+        tree = build(values, p)
+        steps = data.draw(st.lists(st.tuples(
+            st.integers(0, m * n - 1), st.sampled_from(["set", "zero", "flip"]), value), max_size=40))
+        for k, kind, v in steps:
+            at = np.unravel_index(k, shape)
+            values[at] = {"set": v, "zero": 0.0, "flip": -values[at]}[kind]
+            tree.update_entry(*(int(c) for c in at), float(values[at]))
+        fresh = build(values, p)
+        if matrix:
+            tree, fresh = tree._tree, fresh._tree
+        assert tree._nodes.tobytes() == fresh._nodes.tobytes()
+        assert tree._signs.tobytes() == fresh._signs.tobytes()
 
 
 class TestQuery:
@@ -254,6 +280,27 @@ class TestCostAccounting:
         assert tree.last_op_visits <= bound
         tree.update_entry(n - 1, 7.0)
         assert tree.last_op_visits <= bound
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 64, 100])
+    def test_node_visits_equal_depth_plus_one(self, n):
+        visits = math.ceil(math.log2(n)) + 1
+        tree = build_vector_tree(np.arange(1, n + 1.0), 2)
+        rng = stream(2, n)
+        for i in range(n):
+            tree.update_entry(i, -0.5 - i)
+            assert tree.last_op_visits == visits
+            tree.sample_index(rng)
+            assert tree.last_op_visits == visits
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (5, 3), (4, 4), (3, 7), (17, 2)])
+    def test_matrix_update_visits_equal_depth_plus_one(self, m, n):
+        # the vector tree holds n columns of stride 2^ceil(log2 m)
+        visits = math.ceil(math.log2(m)) + math.ceil(math.log2(n)) + 1
+        mt = build_matrix_tree(np.ones((m, n)), 1.5)
+        for i in range(m):
+            for j in range(n):
+                mt.update_entry(i, j, 2.0 - i)
+                assert mt._tree.last_op_visits == visits
 
 
 class TestInvariants:
@@ -305,6 +352,16 @@ class TestSerialization:
         assert np.array_equal(clone.leaf_magnitudes, tree.leaf_magnitudes)
         assert np.array_equal(clone.leaf_signs, tree.leaf_signs)
         assert clone.query_pnorm_power() == pytest.approx(tree.query_pnorm_power(), rel=1e-15)
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))])
+    def test_copies_are_independent_and_bytewise(self, clone):
+        mt = build_matrix_tree(stream(22, 0).normal(size=(5, 3)), 1.5)
+        mt.update_entry(4, 2, -3.0)
+        twin = clone(mt)
+        assert twin._tree._nodes.tobytes() == mt._tree._nodes.tobytes()
+        twin.update_entry(0, 0, 9.0)
+        assert mt.query_entry(0, 0) != 9.0 and twin.query_entry(0, 0) == pytest.approx(9.0)
+        assert twin.column_pnorm_power(0) > mt.column_pnorm_power(0)
 
     def test_truncated_buffer_rejected(self):
         tree = build_vector_tree([1, 2], 1)

@@ -180,6 +180,14 @@ class TestMomentProfile:
         mc = moment_profile(normal(0, 1), 1.5, mode="monte-carlo", samples=300_000, seed=5)
         assert mc.mu_p == pytest.approx(closed.mu_p, abs=5 * mc.mu_p_stderr)
 
+    @pytest.mark.parametrize("text", ["laplace:0,1", "beta:5,2"])
+    def test_grid_equals_one_p_calls(self, text):
+        spec = parse_distribution(text)
+        grid = [1.0, 1.25, 1.5, 2.0, 3.0]
+        profiles = moment_profile(spec, grid, seed=4)
+        assert profiles[0].method.startswith("monte-carlo")
+        assert profiles == [moment_profile(spec, p, seed=4) for p in grid]
+
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError):
             moment_profile(beta(2, 2), 1, mode="monte-carlo", samples=5000)
