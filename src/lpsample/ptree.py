@@ -6,6 +6,8 @@ and every internal node holds the sum of its two children, so the root equals
 updating one entry, and reading an entry or the root are all O(log n); these
 scalar operations walk a memoryview of the node buffer, on Python floats, and
 an update recomputes each ancestor from its two children with one read a level.
+Every draw, scalar or batched, is one inverse-CDF descent of one uniform, so a
+stream gives the same indices one at a time as in a batch.
 
 The matrix variant is a layout of one vector tree: the entries in
 column-major order, each column padded to a power-of-two stride, so every
@@ -54,6 +56,16 @@ def _check_exponent(p: float) -> float:
     if not math.isfinite(p) or p < 1.0:
         raise ValueError(f"exponent p must be finite and >= 1, got {p}")
     return p
+
+
+_BOOLS = (bool, np.bool_)
+
+
+def _check_index(i: int, size: int, what: str = "index") -> None:
+    """Raise IndexError unless ``i`` lies in [0, size); a bool is never an index."""
+    # a plain int, the common case, skips the isinstance test (about 0.2 us a call)
+    if not 0 <= i < size or (type(i) is not int and isinstance(i, _BOOLS)):
+        raise IndexError(f"{what} must be an integer in range({size}), got {i!r}")
 
 
 def _magnitudes(values: np.ndarray, p: float) -> np.ndarray:
@@ -161,7 +173,7 @@ class WeightedVectorTree:
 
     def query_entry(self, i: int) -> float:
         """Signed entry ``sign_i * magnitude_i**(1/p)``."""
-        self._check_index(i)
+        _check_index(i, self._n)
         return self._entry(i)
 
     def _entry(self, i: int) -> float:
@@ -191,9 +203,9 @@ class WeightedVectorTree:
     def sample_index(self, rng: np.random.Generator) -> int:
         """Draw one index with probability proportional to its leaf weight.
 
-        Descends from the root, drawing at each node a uniform in [0, sum)
-        and going left iff it falls below the left child's value, so
-        zero-weight subtrees are never entered.
+        One uniform scaled by the root's value walks down, going right iff
+        it is at least the left child's value and subtracting that value as
+        it goes (see :meth:`_descend`).
         """
         if self._view[0] <= 0.0:
             raise EmptyDistributionError("all entries are zero")
@@ -204,23 +216,34 @@ class WeightedVectorTree:
     def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` independent indices, each with probability ``|x_i|**p / root``.
 
-        Same distribution as :meth:`sample_index`, not the same stream: one
-        uniform per draw (see :meth:`_descend_many`) instead of one per level.
+        On one stream, the indices that ``size`` calls of :meth:`sample_index`
+        give, except when rounding lands a draw on a zero leaf, which is made
+        again at the end of the batch (see :meth:`_descend_many`).
         """
         if self._view[0] <= 0.0:
             raise EmptyDistributionError("all entries are zero")
         return self._descend_many(rng, np.zeros(size, dtype=np.int64), self._depth)
 
-    def _descend(self, rng: np.random.Generator, node: int, levels: int) -> int:
-        """Walk ``levels`` levels down from ``node`` to a leaf; return its index.
+    def _descend(self, rng: np.random.Generator, start: int, levels: int) -> int:
+        """Draw one leaf ``levels`` levels below ``start``; return its entry index.
 
-        One uniform per level; the caller checks that ``node`` has weight.
+        The scalar form of :meth:`_descend_many`, on Python floats: the same
+        uniform, comparisons and subtractions, so a draw that lands on a zero
+        leaf is made again at once rather than at the end of a batch.  The
+        caller checks that ``start`` has weight.
         """
         nodes = self._view
-        for _ in range(levels):
-            left = 2 * node + 1
-            node = left if rng.random() * nodes[node] < nodes[left] else left + 1
-        return node - (self._capacity - 1)
+        while True:
+            node = start
+            u = rng.random() * nodes[start]
+            for _ in range(levels):
+                node = 2 * node + 1
+                left = nodes[node]
+                if u >= left:
+                    u -= left
+                    node += 1
+            if nodes[node] != 0.0:
+                return node - (self._capacity - 1)
 
     def _descend_many(self, rng: np.random.Generator, start: np.ndarray, levels: int) -> np.ndarray:
         """Draw one leaf ``levels`` levels below each node in ``start``; return entry indices.
@@ -230,8 +253,9 @@ class WeightedVectorTree:
         left child's value, subtracting that value as it goes, so each output
         depends on its own uniform only.  Rounding in the subtractions can
         carry a draw past its subtree's total into a zero leaf; such draws
-        are made again, in draw order.  The caller checks that every start
-        node has weight.
+        are made again, in draw order.  :meth:`_descend` follows the same
+        rule one draw at a time.  The caller checks that every start node has
+        weight.
         """
         nodes = self._nodes
         idx = start.copy()
@@ -259,7 +283,7 @@ class WeightedVectorTree:
 
     def update_entry(self, i: int, value: float) -> None:
         """Set entry i to ``value`` and refresh the sums along its root path."""
-        self._check_index(i)
+        _check_index(i, self._n)
         value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"entry value must be finite, got {value}")
@@ -354,10 +378,6 @@ class WeightedVectorTree:
         # copy and pickle go through the flat layout, as a memoryview cannot be pickled
         return (self.from_bytes, (self.to_bytes(),))
 
-    def _check_index(self, i: int) -> None:
-        if not 0 <= i < self._n:
-            raise IndexError(f"index {i} out of range for length {self._n}")
-
 
 class WeightedMatrixTree:
     """Matrix sampling structure: one vector tree over the entries in column-major order.
@@ -417,7 +437,7 @@ class WeightedMatrixTree:
         return self._tree.query_pnorm_power()
 
     def column_pnorm_power(self, j: int) -> float:
-        self._check_column(j)
+        _check_index(j, self._n, "column")
         return self._tree._view[self._column_root + j]
 
     def column_pnorm_powers(self) -> np.ndarray:
@@ -425,21 +445,20 @@ class WeightedMatrixTree:
         return self._tree._nodes[self._column_root : self._column_root + self._n].copy()
 
     def query_entry(self, i: int, j: int) -> float:
-        if not (0 <= i < self._m and 0 <= j < self._n):
-            raise IndexError(f"entry ({i}, {j}) out of range for shape {self.shape}")
+        _check_index(i, self._m, "row")
+        _check_index(j, self._n, "column")
         return self._tree._entry(j * self._stride + i)
 
     def query_row(self, i: int) -> np.ndarray:
         """Signed entries of row i, as a new length-n array (n entry queries)."""
-        if not 0 <= i < self._m:
-            raise IndexError(f"row {i} out of range for {self._m} rows")
+        _check_index(i, self._m, "row")
         tree = self._tree
         row = slice(i, None, self._stride)
         return _signed_values(tree.leaf_magnitudes[row], tree.leaf_signs[row], tree.p)
 
     def sample_row(self, j: int, rng: np.random.Generator) -> int:
         """Draw a row of column j with probability ``|A_ij|**p / ||A^(j)||_p^p``."""
-        self._check_column(j)
+        _check_index(j, self._n, "column")
         node = self._column_root + j
         if self._tree._view[node] <= 0.0:
             raise EmptyDistributionError(f"column {j} is all zero")
@@ -448,8 +467,8 @@ class WeightedMatrixTree:
     def sample_rows(self, cols, rng: np.random.Generator) -> np.ndarray:
         """Draw one row for each column in ``cols``, from that column's distribution.
 
-        Same distribution as :meth:`sample_row`, not the same stream: one
-        uniform per draw, walked down from the column's root.
+        On one stream, the rows that :meth:`sample_row` gives column by
+        column: one uniform per draw, walked down from the column's root.
         """
         cols = np.asarray(cols, dtype=np.int64)
         if np.any((cols < 0) | (cols >= self._n)):
@@ -470,8 +489,8 @@ class WeightedMatrixTree:
 
     def update_entry(self, i: int, j: int, value: float) -> None:
         """Set A[i, j] and refresh the sums along its root path."""
-        if not (0 <= i < self._m and 0 <= j < self._n):
-            raise IndexError(f"entry ({i}, {j}) out of range for shape {self.shape}")
+        _check_index(i, self._m, "row")
+        _check_index(j, self._n, "column")
         self._tree.update_entry(j * self._stride + i, value)
 
     def entry_probabilities(self) -> np.ndarray:
@@ -491,10 +510,6 @@ class WeightedMatrixTree:
         padding = self._tree.leaf_magnitudes.reshape(self._n, self._stride)[:, self._m :]
         if np.any(padding != 0.0):
             raise TreeAuditError("padding rows must stay zero")
-
-    def _check_column(self, j: int) -> None:
-        if not 0 <= j < self._n:
-            raise IndexError(f"column {j} out of range for {self._n} columns")
 
 
 def build_vector_tree(values, p: float) -> WeightedVectorTree:

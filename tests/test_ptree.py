@@ -101,9 +101,9 @@ class TestSampling:
 
 
 class _EdgeFirst:
-    """Generator stand-in whose first ``random(size)`` is all 1.0, the upper
-    edge that rounding can carry a scaled uniform to; later calls go to a real
-    stream."""
+    """Generator stand-in whose first ``random()`` is 1.0 (or, with a size,
+    all 1.0), the upper edge that rounding can carry a scaled uniform to;
+    later calls go to a real stream."""
 
     def __init__(self, rng):
         self._rng = rng
@@ -112,7 +112,7 @@ class _EdgeFirst:
     def random(self, size=None):
         if self._first:
             self._first = False
-            return np.ones(size)
+            return 1.0 if size is None else np.ones(size)
         return self._rng.random(size)
 
 
@@ -154,6 +154,33 @@ class TestInverseCdfDescent:
             expected[cols == j] = inverse_cdf_indices(weights[:, j], u[cols == j])
         np.testing.assert_array_equal(rows, expected)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 9), st.integers(1, 7), st.sampled_from([1.0, 2.0, 3.0]),
+           st.integers(0, 1 << 16), st.integers(1, 80))
+    def test_scalar_draws_match_vector_draws(self, data, m, n, p, key, size):
+        # the scalar and the vectorised descent share one rule, so with exact
+        # partial sums one stream gives the same draws one at a time as in a batch
+        A = np.array(data.draw(st.lists(st.integers(-9, 9), min_size=m * n, max_size=m * n)), dtype=float)
+        A = A.reshape(m, n)
+        nonzero = np.flatnonzero(np.abs(A).sum(axis=0) > 0.0)
+        assume(nonzero.size > 0)
+
+        tree = build_vector_tree(A.reshape(-1), p)
+        rng = stream(49, key)
+        got = [tree.sample_index(rng) for _ in range(size)]
+        assert got == tree.sample_indices(stream(49, key), size).tolist()
+
+        mt = build_matrix_tree(A, p)
+        rng = stream(50, key)
+        got = [mt.sample_entry(rng) for _ in range(size)]
+        rows, cols = mt.sample_entries(stream(50, key), size)
+        assert got == list(zip(rows.tolist(), cols.tolist()))
+
+        cols = nonzero[stream(51, key).integers(nonzero.size, size=size)]
+        rng = stream(52, key)
+        got = [mt.sample_row(j, rng) for j in cols.tolist()]
+        assert got == mt.sample_rows(cols, stream(52, key)).tolist()
+
     def test_edge_uniforms_are_redrawn_off_zero_leaves(self):
         # entries 1, 3, 4 are zero and leaves 5..7 are padding; a uniform of
         # 1.0 walks right past the last positive leaf
@@ -170,6 +197,23 @@ class TestInverseCdfDescent:
         cols = np.tile([0, 1], 250)
         rows = mt.sample_rows(cols, _EdgeFirst(stream(47, 2)))
         assert np.all(rows < 3) and np.all(A[rows, cols] != 0.0)
+
+    def test_scalar_edge_uniform_is_redrawn_off_zero_leaves(self):
+        # the same trees as above, one draw at a time: the first uniform is 1.0
+        tree = build_vector_tree([1.0, 0.0, 2.0, 0.0, 0.0], 1)
+        rng = _EdgeFirst(stream(48, 0))
+        idx = [tree.sample_index(rng) for _ in range(100)]
+        assert all(0 <= i < len(tree) and tree.leaf_magnitudes[i] > 0.0 for i in idx)
+
+        A = np.array([[1.0, 0.0], [2.0, 3.0], [0.0, 0.0]])
+        mt = build_matrix_tree(A, 1.5)
+        rng = _EdgeFirst(stream(48, 1))
+        entries = [mt.sample_entry(rng) for _ in range(100)]
+        assert all(i < 3 and A[i, j] != 0.0 for i, j in entries)
+        for j in (0, 1):
+            rng = _EdgeFirst(stream(48, 2 + j))
+            rows = [mt.sample_row(j, rng) for _ in range(50)]
+            assert all(i < 3 and A[i, j] != 0.0 for i in rows)
 
 
 class TestUpdate:
@@ -209,6 +253,27 @@ class TestUpdate:
             tree.update_entry(2, 1.0)
         with pytest.raises(ValueError):
             tree.update_entry(0, math.nan)
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+    def test_bool_indices_rejected(self, flag):
+        # a bool is an int to Python and a mask to NumPy, never an entry index
+        tree = build_vector_tree([-1, 2, -3, 4], 1)
+        mt = build_matrix_tree([[1, 5, 0], [2, 7, 1], [3, 0, 2]], 1)
+        vector_bytes, matrix_bytes = tree._nodes.tobytes(), mt._tree._nodes.tobytes()
+        with pytest.raises(IndexError):
+            tree.update_entry(flag, 5.0)
+        with pytest.raises(IndexError):
+            tree.query_entry(flag)
+        for call in (lambda: mt.update_entry(flag, 0, 5.0), lambda: mt.update_entry(0, flag, 5.0),
+                     lambda: mt.query_entry(flag, 0), lambda: mt.query_entry(0, flag),
+                     lambda: mt.query_row(flag), lambda: mt.column_pnorm_power(flag),
+                     lambda: mt.sample_row(flag, stream(0, 0))):
+            with pytest.raises(IndexError):
+                call()
+        assert tree.entries().tolist() == [-1, 2, -3, 4]
+        assert tree._nodes.tobytes() == vector_bytes and tree.leaf_signs.tolist() == [-1, 1, -1, 1]
+        assert mt._tree._nodes.tobytes() == matrix_bytes
+        assert mt.dense().tolist() == [[1, 5, 0], [2, 7, 1], [3, 0, 2]]
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_updated_tree_is_bytewise_the_built_tree(self, p):
@@ -511,23 +576,24 @@ class TestMatrixTree:
                 mt.entry_probabilities()
         mt.audit()
 
-    # first draws for stream (2024, 0) and (2024, 1), recorded with the
-    # per-column implementation; the scalar paths must keep reproducing them
+    # first draws for stream (2024, 0) and (2024, 1), recorded when the scalar
+    # descent took one uniform per draw, as the vectorised one does; the scalar
+    # paths must keep reproducing them
     GOLDEN = {
         1.0: (
-            [(3, 2), (2, 1), (4, 2), (2, 1), (2, 2), (2, 1), (2, 1), (0, 0)],
-            [3, 2, 3, 0, 1, 3],
-            [(1, 1, 9), (1, 1, 9), (3, 1, 9), (4, 1, 9), (4, 2, 12), (3, 1, 9)],
+            [(4, 2), (3, 2), (3, 1), (3, 2), (4, 1), (3, 0), (2, 1), (1, 2)],
+            [3, 2, 3, 0, 3, 1],
+            [(0, 2, 12), (0, 3, 15), (3, 1, 9), (1, 1, 9), (4, 1, 9), (1, 1, 9)],
         ),
         1.5: (
-            [(3, 2), (2, 1), (4, 2), (2, 1), (2, 2), (2, 1), (2, 1), (0, 0)],
-            [3, 2, 3, 0, 0, 3],
-            [(1, 1, 9), (4, 3, 15), (3, 3, 15), (1, 2, 12), (2, 1, 9), (2, 3, 15)],
+            [(4, 2), (3, 2), (2, 1), (3, 2), (3, 1), (0, 1), (2, 1), (1, 2)],
+            [3, 2, 3, 0, 3, 1],
+            [(0, 2, 12), (0, 3, 15), (4, 3, 15), (1, 1, 9), (1, 4, 18), (4, 1, 9)],
         ),
         2.0: (
-            [(3, 2), (2, 1), (4, 2), (2, 1), (3, 2), (2, 1), (2, 1), (0, 0)],
-            [3, 2, 3, 2, 3, 3],
-            [(1, 1, 9), (4, 3, 15), (3, 3, 15), (1, 2, 12), (2, 1, 9), (4, 5, 21)],
+            [(4, 2), (2, 2), (2, 1), (3, 2), (2, 1), (0, 1), (2, 1), (1, 2)],
+            [3, 2, 3, 0, 3, 1],
+            [(2, 2, 12), (0, 3, 15), (4, 3, 15), (1, 1, 9), (1, 4, 18), (4, 1, 9)],
         ),
     }
 
