@@ -11,7 +11,6 @@ from .ptree import (
 from .randkit import (
     DistributionSpec,
     MomentProfile,
-    draw,
     moment_profile,
     parse_distribution,
     stream,
@@ -24,7 +23,6 @@ from .estimators import (
     estimate_inner_product,
     estimate_trace_inner_product,
     f_curve,
-    improvement_factor,
 )
 from .lincomb import (
     CombinationSampler,
@@ -35,14 +33,12 @@ from .lincomb import (
     measure_mp,
     mp_curve,
     run_ratio_experiment,
-    sample_from_combination,
     theoretical_limit,
     theoretical_mp,
 )
 from .dfe import (
     DfeRun,
     NoiseModel,
-    PauliLabel,
     TargetState,
     bound_comparison,
     depolarizing,
@@ -50,7 +46,6 @@ from .dfe import (
     no_noise,
     run_dfe,
     w_state,
-    well_conditioned_check,
     z_exact,
     z_prime,
     z_upper_bound,

@@ -14,9 +14,10 @@ both bits are set.  For the two supported targets the characteristic values
 ``TargetState.characteristic`` evaluates both, on int bit masks or on int64
 arrays of them.
 
-Pauli labels are drawn either proportionally to ``chi^2`` (the amplitude
-scheme) or to ``|chi| / Z`` with ``Z = sum |chi|``; the latter tightens the
-n^2 coefficient of the measurement budget by a factor of 4 for the W state.
+A level's Pauli label is drawn either proportionally to ``chi^2`` (the
+amplitude scheme) or to ``|chi| / Z`` with ``Z = sum |chi|``; the latter
+tightens the n^2 coefficient of the measurement budget by a factor of 4 for
+the W state.
 
 Under depolarizing noise a level's outcome and budget depend on its label only
 through chi and whether it is the identity, and both targets split their
@@ -36,12 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "PauliLabel",
     "TargetState",
     "NoiseModel",
     "DfeRun",
     "BoundComparison",
-    "WellConditionedReport",
     "w_state",
     "ghz_state",
     "depolarizing",
@@ -49,62 +48,15 @@ __all__ = [
     "z_prime",
     "z_exact",
     "z_upper_bound",
-    "sample_paulis",
     "run_dfe",
     "bound_comparison",
-    "well_conditioned_check",
 ]
 
-_PAULI_CHARS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 # int64 bit masks bound the simulable qubit count; the exact-integer Z
 # identities below have no such limit
 _MAX_SIM_QUBITS = 62
 # level and measurement counts are int64 in NumPy's multinomial and binomial
 _MAX_COUNT = np.iinfo(np.int64).max
-
-
-@dataclass(frozen=True)
-class PauliLabel:
-    """n-qubit Pauli operator as X-position and Z-position bit masks."""
-
-    n: int
-    x_bits: int
-    z_bits: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one qubit")
-        limit = 1 << self.n
-        if not (0 <= self.x_bits < limit and 0 <= self.z_bits < limit):
-            raise ValueError("bit masks exceed the qubit count")
-
-    @property
-    def weight(self) -> int:
-        """Number of non-identity tensor factors."""
-        return (self.x_bits | self.z_bits).bit_count()
-
-    @property
-    def is_identity(self) -> bool:
-        return self.x_bits == 0 and self.z_bits == 0
-
-    def pauli_string(self) -> str:
-        """Letters for qubits 0..n-1, leftmost first."""
-        return "".join(
-            _PAULI_CHARS[((self.x_bits >> q) & 1, (self.z_bits >> q) & 1)]
-            for q in range(self.n)
-        )
-
-    @classmethod
-    def from_string(cls, text: str) -> "PauliLabel":
-        x = z = 0
-        for q, ch in enumerate(text.upper()):
-            if ch in ("X", "Y"):
-                x |= 1 << q
-            if ch in ("Z", "Y"):
-                z |= 1 << q
-            if ch not in "IXYZ":
-                raise ValueError(f"unsupported Pauli letter {ch!r}")
-        return cls(len(text), x, z)
 
 
 @dataclass(frozen=True)
@@ -152,36 +104,6 @@ class TargetState:
             out = np.where(even & (x == 0), 1.0 / sqrt_d, 0.0)
             out = np.where(even & (x == full), sign / sqrt_d, out)
         return out if out.ndim else float(out)
-
-    def l1_normalizer(self) -> float:
-        """Sum of |chi| over all labels."""
-        _, _, count, chi = _label_classes(self)
-        return float(np.sum(_class_weights(count, chi, "l1")))
-
-    def conditioning_alpha(self) -> float:
-        """Conditioning parameter: 1/n for the W state, 1 for GHZ."""
-        return 1.0 / self.n if self.kind == "w" else 1.0
-
-    def support(self) -> tuple[list[PauliLabel], np.ndarray]:
-        """All labels with nonzero characteristic value, with their values.
-
-        Enumerates 2^n-sized families, so it is intended for small n only.
-        """
-        if self.n > 14:
-            raise ValueError("support enumeration is limited to n <= 14")
-        n = self.n
-        # chi vanishes outside these X parts; the zero labels within them
-        # (odd overlap or Z weight, |z| = n/2 on the W diagonal) are dropped below
-        if self.kind == "w":
-            x_masks = [0] + [(1 << a) | (1 << b) for a in range(n) for b in range(a + 1, n)]
-        else:
-            x_masks = [0, (1 << n) - 1]
-        grid = np.meshgrid(np.array(x_masks, dtype=np.int64), np.arange(1 << n, dtype=np.int64), indexing="ij")
-        x, z = (axis.ravel() for axis in grid)
-        chis = self.characteristic(x, z)
-        keep = np.flatnonzero(chis)
-        labels = [PauliLabel(n, int(x[i]), int(z[i])) for i in keep]
-        return labels, chis[keep]
 
 
 def w_state(n: int) -> TargetState:
@@ -251,7 +173,7 @@ def z_upper_bound(n: int) -> float:
     return (n / 2.0 + 1.0 / math.sqrt(n) - 0.5) * math.sqrt(2.0) ** n
 
 
-# -- label classes and sampling --------------------------------------------------
+# -- label classes ----------------------------------------------------------------
 
 
 def _label_classes(target: TargetState) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -286,43 +208,6 @@ def _class_weights(count: np.ndarray, chi: np.ndarray, norm: str) -> np.ndarray:
     if norm not in ("l1", "l2"):
         raise ValueError("norm must be 'l1' or 'l2'")
     return count * (np.abs(chi) if norm == "l1" else chi**2)
-
-
-def _subsets(rng: np.random.Generator, n: int, sizes: np.ndarray) -> np.ndarray:
-    """Bit masks of uniform ``sizes[i]``-subsets of n positions, by selection sampling."""
-    masks = np.zeros(sizes.shape, dtype=np.int64)
-    left = sizes.astype(np.int64)
-    for position in range(n):
-        # take this position with probability (positions still needed) / (positions left)
-        take = rng.integers(n - position, size=sizes.shape) < left
-        masks |= take.astype(np.int64) << position
-        left -= take
-    return masks
-
-
-def sample_paulis(
-    target: TargetState, norm: str, rng: np.random.Generator, size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized label sampling; returns (x_bits, z_bits) int64 arrays.
-
-    Draws each label's class with probability proportional to count * |chi|
-    (``l1``) or count * chi^2 (``l2``), then a uniform label within it. For
-    GHZ both schemes are uniform over the stabilizer labels.
-    """
-    x_rep, z_rep, count, chi = _label_classes(target)
-    n = target.n
-    weights = _class_weights(count, chi, norm)
-    classes = rng.choice(chi.size, size=size, p=weights / weights.sum())
-    x_weight = np.bitwise_count(x_rep)[classes]
-    x = _subsets(rng, n, x_weight)
-    # the W two-X class has every Z part of even overlap: draw a uniform Z
-    # part (a Binomial(n, 1/2) weight), then flip its bit at the lowest X
-    # position where the overlap is odd, a bijection onto the even ones
-    pair = (x_weight == 2) & (target.kind == "w")
-    z_weight = np.where(pair, rng.binomial(n, 0.5, size), np.bitwise_count(z_rep)[classes])
-    z = _subsets(rng, n, z_weight)
-    odd = pair & (np.bitwise_count(x & z) % 2 == 1)
-    return x, np.where(odd, z ^ (x & -x), z)
 
 
 # -- the estimator ---------------------------------------------------------------
@@ -441,7 +326,7 @@ def run_dfe(
     )
 
 
-# -- budget bounds and conditioning ---------------------------------------------
+# -- budget bounds ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -468,19 +353,3 @@ def bound_comparison(n: int, epsilon: float, delta: float) -> BoundComparison:
         l1_bound=l1_coeff * n ** 2 + tail,
         coefficient_ratio=l2_coeff / l1_coeff,
     )
-
-
-@dataclass(frozen=True)
-class WellConditionedReport:
-    alpha: float
-    z_value: float
-    z_limit: float
-    holds: bool
-
-
-def well_conditioned_check(target: TargetState) -> WellConditionedReport:
-    """Verify ``Z <= sqrt(d) / alpha`` for the target's conditioning parameter."""
-    alpha = target.conditioning_alpha()
-    z_value = target.l1_normalizer()
-    z_limit = math.sqrt(target.dim) / alpha
-    return WellConditionedReport(alpha, z_value, z_limit, z_value <= z_limit * (1.0 + 1e-12))

@@ -6,14 +6,14 @@ is the inner product <x, y>.  Robust aggregation uses the median of
 ceil(6 ln(1/delta)) group means with ceil(9 / (2 eps^2)) samples per group,
 which pins the additive error to eps times the error scale
 ``||x||_p^(p/2) * sqrt(<x^(2-p), y^(2)>)`` with probability at least
-1 - delta.
+1 - delta.  The other side of each product (y, or x and y for a bilinear
+form) is an array, read only at the sampled indices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -31,9 +31,6 @@ __all__ = [
     "empirical_improvement_factor",
     "mom_counts",
 ]
-
-QueryAccess = Union[Callable[[int], float], Sequence[float], np.ndarray]
-
 
 class UndefinedScaleError(ValueError):
     """The error scale is undefined: p > 2 with x_i = 0 but y_i != 0."""
@@ -55,9 +52,7 @@ def _median_of_means(values: np.ndarray, groups: int, per_group: int) -> float:
     return float(means[(groups - 1) // 2])
 
 
-def _gather(y: QueryAccess, indices: np.ndarray) -> np.ndarray:
-    if callable(y):
-        return np.fromiter((y(int(i)) for i in indices), dtype=np.float64, count=len(indices))
+def _gather(y, indices: np.ndarray) -> np.ndarray:
     return np.asarray(y, dtype=np.float64)[indices]
 
 
@@ -76,14 +71,14 @@ class EstimateReport:
 
 def estimate_inner_product(
     tree: WeightedVectorTree,
-    y: QueryAccess,
+    y,
     epsilon: float,
     delta: float,
     rng: np.random.Generator,
     *,
     compute_scale: bool = True,
 ) -> EstimateReport:
-    """Estimate <x, y> given the sampling tree for x and query access to y.
+    """Estimate <x, y> given the sampling tree for x and the entries of y.
 
     Indices with x_i = 0 are never sampled, so the negative power of zero in
     the per-sample weight cannot occur.  When ``compute_scale`` is set the
@@ -118,8 +113,8 @@ def estimate_inner_product(
 
 def estimate_trace_inner_product(
     matrix_tree: WeightedMatrixTree,
-    x: QueryAccess,
-    y: QueryAccess,
+    x,
+    y,
     epsilon: float,
     delta: float,
     rng: np.random.Generator,
@@ -198,13 +193,15 @@ def improvement_factor(spec: DistributionSpec) -> float:
     return spec.second_moment() / (abs_mean * abs_mean)
 
 
+# rows of x per batch: the draws do not depend on it, the rounding of the sums does
+_IMPROVEMENT_CHUNK = 4096
+
+
 def empirical_improvement_factor(
     spec: DistributionSpec,
     n: int,
     trials: int,
     rng: np.random.Generator,
-    *,
-    chunk: int = 4096,
 ) -> float:
     """Monte Carlo version of :func:`improvement_factor`.
 
@@ -218,7 +215,7 @@ def empirical_improvement_factor(
     sum_s1_sq = 0.0
     done = 0
     while done < trials:
-        count = min(chunk, trials - done)
+        count = min(_IMPROVEMENT_CHUNK, trials - done)
         x = spec.sample(rng, (count, n))
         sum_s2 += float((x * x).sum())
         sum_s1_sq += float((np.abs(x).sum(axis=1) ** 2).sum())

@@ -1,8 +1,8 @@
 """Rejection sampling from the p-norm distribution of a linear combination.
 
-Given the matrix sampling structure for A and query access to coefficients x,
-a proposal draws column j proportional to ``|x_j|^p ||A^(j)||_p^p`` and then a
-row i from column j's own distribution; the proposal is accepted with ratio
+Given the matrix sampling structure for A and the coefficients x, a proposal
+draws column j proportional to ``|x_j|^p ||A^(j)||_p^p`` and then a row i
+from column j's own distribution; the proposal is accepted with ratio
 
     r_i = |sum_j x_j A_ij|^p / (n^(p-1) * sum_j |x_j A_ij|^p),
 
@@ -28,7 +28,6 @@ __all__ = [
     "RatioExperimentReport",
     "MpCurvePoint",
     "CombinationSampler",
-    "sample_from_combination",
     "exact_m",
     "acceptance_ratios",
     "measure_mp",
@@ -39,6 +38,8 @@ __all__ = [
 ]
 
 _DEFAULT_ITERATION_CAP = 1_000_000
+# fresh (A, x) draws allowed per trial while Ax is exactly zero
+_MAX_REDRAWS = 100
 
 
 class NonTerminationError(RuntimeError):
@@ -164,15 +165,11 @@ class CombinationSampler:
     row draw, and n entry queries for the acceptance ratio.
     """
 
-    def __init__(self, matrix_tree: WeightedMatrixTree, x, *, max_iterations: int | None = None,
-                 expected_iterations: float | None = None):
+    def __init__(self, matrix_tree: WeightedMatrixTree, x, *, expected_iterations: float | None = None):
         self._mt = matrix_tree
         m, n = matrix_tree.shape
         self._p = matrix_tree.p
-        if callable(x):
-            self._x = np.fromiter((x(j) for j in range(n)), dtype=np.float64, count=n)
-        else:
-            self._x = np.asarray(x, dtype=np.float64).copy()
+        self._x = np.asarray(x, dtype=np.float64).copy()
         if self._x.shape != (n,):
             raise ValueError(f"coefficients must have length {n}")
         if not np.all(np.isfinite(self._x)):
@@ -186,9 +183,7 @@ class CombinationSampler:
         )
         self._setup_queries = 2 * n
         self._scale = n ** (self._p - 1.0)
-        if max_iterations is not None:
-            self._cap = int(max_iterations)
-        elif expected_iterations is not None:
+        if expected_iterations is not None:
             self._cap = 10_000 * max(1, math.ceil(expected_iterations))
         else:
             self._cap = _DEFAULT_ITERATION_CAP
@@ -248,18 +243,6 @@ class CombinationSampler:
         return accepted, proposals
 
 
-def sample_from_combination(
-    matrix_tree: WeightedMatrixTree,
-    x,
-    rng: np.random.Generator,
-    *,
-    max_iterations: int | None = None,
-) -> RejectionSampleResult:
-    """One-shot rejection sample; builds the O(n) proposal structure per call."""
-    sampler = CombinationSampler(matrix_tree, x, max_iterations=max_iterations)
-    return sampler.sample(rng)
-
-
 def measure_mp(A, x, p: float, samples: int, rng: np.random.Generator) -> MpReport:
     """Run the rejection sampler and compare measured iterations to the closed form.
 
@@ -297,7 +280,7 @@ def _stderr(values) -> float | None:
     return float(values.std(ddof=1) / math.sqrt(values.size))
 
 
-def _draw_instance(spec_a, spec_x, m, n, rng, max_redraws):
+def _draw_instance(spec_a, spec_x, m, n, rng):
     """Draw (A, x) and redraw while Ax is exactly zero; returns redraw count."""
     redraws = 0
     while True:
@@ -306,11 +289,11 @@ def _draw_instance(spec_a, spec_x, m, n, rng, max_redraws):
         if np.any(A @ x != 0.0):
             return A, x, redraws
         redraws += 1
-        if redraws > max_redraws:
+        if redraws > _MAX_REDRAWS:
             raise NonTerminationError(redraws)
 
 
-def _trial_table(spec_a, spec_x, m, n, p_grid, trials, seed, max_redraws):
+def _trial_table(spec_a, spec_x, m, n, p_grid, trials, seed):
     """M(p) of each trial's fresh (A, x) as a (len(p_grid), trials) table, and the redraws.
     Trial t owns stream (seed, t), so results replay under any parallel schedule."""
     if trials < 1:
@@ -318,7 +301,7 @@ def _trial_table(spec_a, spec_x, m, n, p_grid, trials, seed, max_redraws):
     table = np.empty((len(p_grid), trials))
     redraws = 0
     for t in range(trials):
-        A, x, extra = _draw_instance(spec_a, spec_x, m, n, stream(seed, t), max_redraws)
+        A, x, extra = _draw_instance(spec_a, spec_x, m, n, stream(seed, t))
         redraws += extra
         table[:, t] = exact_m(A, x, p_grid)
     return table, redraws
@@ -331,11 +314,9 @@ def run_ratio_experiment(
     spec_x: DistributionSpec,
     trials: int,
     seed: int,
-    *,
-    max_redraws: int = 100,
 ) -> RatioExperimentReport:
     """Average M(1), M(2) and the per-instance ratio M(2)/M(1) over fresh draws."""
-    (m1, m2), redraws = _trial_table(spec_a, spec_x, m, n, [1.0, 2.0], trials, seed, max_redraws)
+    (m1, m2), redraws = _trial_table(spec_a, spec_x, m, n, [1.0, 2.0], trials, seed)
     ratio = m2 / m1
 
     def _report(p, vals):
@@ -363,8 +344,6 @@ def mp_curve(
     p_grid,
     trials: int,
     seed: int,
-    *,
-    max_redraws: int = 100,
 ) -> list[MpCurvePoint]:
     """Empirical mean of M(p) across a p grid, with the limit prediction.
 
@@ -374,7 +353,7 @@ def mp_curve(
     p_grid = [float(p) for p in p_grid]
     if not p_grid:
         raise ValueError("p grid must be non-empty")
-    values, _ = _trial_table(spec, spec, m, n, p_grid, trials, seed, max_redraws)
+    values, _ = _trial_table(spec, spec, m, n, p_grid, trials, seed)
 
     if spec.mean() == 0.0:
         theory = [theoretical_mp(profile, n) for profile in moment_profile(spec, p_grid, seed=seed)]

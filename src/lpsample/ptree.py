@@ -436,10 +436,6 @@ class WeightedMatrixTree:
         """Sum over columns of the column p-norm powers."""
         return self._tree.query_pnorm_power()
 
-    def column_pnorm_power(self, j: int) -> float:
-        _check_index(j, self._n, "column")
-        return self._tree._view[self._column_root + j]
-
     def column_pnorm_powers(self) -> np.ndarray:
         """All n column p-norm powers, as a new array."""
         return self._tree._nodes[self._column_root : self._column_root + self._n].copy()
@@ -470,7 +466,11 @@ class WeightedMatrixTree:
         On one stream, the rows that :meth:`sample_row` gives column by
         column: one uniform per draw, walked down from the column's root.
         """
-        cols = np.asarray(cols, dtype=np.int64)
+        cols = np.asarray(cols)
+        # a bool mask or a float array is no list of columns; [] arrives as float64
+        if cols.dtype.kind not in "iu" and cols.size:
+            raise IndexError(f"column indices must be integers, got {cols.dtype}")
+        cols = cols.astype(np.int64, copy=False)
         if np.any((cols < 0) | (cols >= self._n)):
             raise IndexError(f"column index out of range for {self._n} columns")
         nodes = self._column_root + cols
@@ -492,13 +492,6 @@ class WeightedMatrixTree:
         _check_index(i, self._m, "row")
         _check_index(j, self._n, "column")
         self._tree.update_entry(j * self._stride + i, value)
-
-    def entry_probabilities(self) -> np.ndarray:
-        """(m, n) matrix of entry sampling probabilities ``|A_ij|**p / total``."""
-        total = self.total_pnorm_power()
-        if total <= 0.0:
-            raise EmptyDistributionError("all entries are zero")
-        return self.leaf_magnitudes / total
 
     def dense(self) -> np.ndarray:
         """Signed entries reconstructed from the leaves, as a new (m, n) array."""

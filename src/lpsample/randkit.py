@@ -18,7 +18,6 @@ __all__ = [
     "DistributionSpec",
     "MomentProfile",
     "stream",
-    "draw",
     "parse_distribution",
     "moment_profile",
     "gaussian_abs_moment",
@@ -42,6 +41,8 @@ _FAMILY_ARITY = {
 # stream id reserved for moment-profile Monte Carlo so experiment trials
 # (small ids) never share a stream with it
 _MOMENT_STREAM_ID = 982_451_653
+# Monte Carlo sample size of a moment profile
+_MOMENT_SAMPLES = 200_000
 
 
 def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
@@ -195,11 +196,6 @@ def parse_distribution(text: str) -> DistributionSpec:
     return DistributionSpec(family.strip().lower(), params)
 
 
-def draw(spec: DistributionSpec, rng: np.random.Generator) -> float:
-    """One draw from the family."""
-    return float(spec.sample(rng))
-
-
 def gaussian_abs_moment(sigma: float, p: float) -> float:
     """E|X|**p for X ~ N(0, sigma**2)."""
     return sigma ** p * 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
@@ -238,14 +234,7 @@ def _closed_form_abs_moments(spec: DistributionSpec, p: float) -> tuple[float, f
     return None
 
 
-def moment_profile(
-    spec: DistributionSpec,
-    p,
-    mode: str = "auto",
-    *,
-    samples: int = 200_000,
-    seed: int = 0,
-) -> MomentProfile | list[MomentProfile]:
+def moment_profile(spec: DistributionSpec, p, *, seed: int = 0) -> MomentProfile | list[MomentProfile]:
     """Moment profile via closed forms (zero-mean normal, symmetric uniform)
     or Monte Carlo for the remaining families.
 
@@ -253,8 +242,6 @@ def moment_profile(
     order).  Monte Carlo draws and takes ``abs`` of one sample for the whole
     grid and raises it to each p, so every point has the bits of a one-p call.
     """
-    if mode not in ("auto", "closed-form", "monte-carlo"):
-        raise ValueError(f"unknown mode {mode!r}")
     grid = np.asarray(p, dtype=np.float64)
     sigma2 = spec.variance()
     magnitudes, profiles = None, []
@@ -262,18 +249,15 @@ def moment_profile(
         if not math.isfinite(q) or q < 1.0:
             raise ValueError(f"exponent p must be finite and >= 1, got {q}")
         mu_tilde = gaussian_abs_moment(sigma2, q)
-        closed = _closed_form_abs_moments(spec, q) if mode != "monte-carlo" else None
+        closed = _closed_form_abs_moments(spec, q)
         if closed is not None:
             profiles.append(MomentProfile(q, sigma2, *closed, mu_tilde, "closed-form"))
             continue
-        if mode == "closed-form":
-            raise ValueError(f"no closed form for {spec.label()}; use monte-carlo")
         if magnitudes is None:
-            if samples < 10_000:
-                raise ValueError("monte-carlo moment profiles need at least 10^4 samples")
-            magnitudes = np.abs(spec.sample(stream(seed, _MOMENT_STREAM_ID), samples))
+            magnitudes = np.abs(spec.sample(stream(seed, _MOMENT_STREAM_ID), _MOMENT_SAMPLES))
         a = magnitudes ** q
         mu_p, var_p = float(a.mean()), float(a.var(ddof=1))
-        method = f"monte-carlo(n={samples},seed={seed})"
-        profiles.append(MomentProfile(q, sigma2, mu_p, var_p, mu_tilde, method, math.sqrt(var_p / samples)))
+        method = f"monte-carlo(n={_MOMENT_SAMPLES},seed={seed})"
+        stderr = math.sqrt(var_p / _MOMENT_SAMPLES)
+        profiles.append(MomentProfile(q, sigma2, mu_p, var_p, mu_tilde, method, stderr))
     return profiles if grid.ndim else profiles[0]

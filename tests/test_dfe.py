@@ -6,16 +6,13 @@ import pytest
 from scipy import stats
 
 from lpsample.dfe import (
-    PauliLabel,
     TargetState,
     bound_comparison,
     depolarizing,
     ghz_state,
     no_noise,
     run_dfe,
-    sample_paulis,
     w_state,
-    well_conditioned_check,
     z_exact,
     z_prime,
     z_upper_bound,
@@ -26,21 +23,29 @@ from lpsample.randkit import stream
 from oracles import characteristic_table, ghz_state_vector, pauli_expectation, tv_distance, w_state_vector
 
 
-class TestPauliLabel:
-    def test_string_round_trip(self):
-        label = PauliLabel.from_string("IXYZ")
-        assert label.x_bits == 0b0110
-        assert label.z_bits == 0b1100
-        assert label.pauli_string() == "IXYZ"
-        assert label.weight == 3
-        assert not label.is_identity
-        assert PauliLabel(2, 0, 0).is_identity
+def pauli_bits(text):
+    """(x_bits, z_bits) of a Pauli string such as ``"IXYZ"``, qubit 0 leftmost."""
+    x = z = 0
+    for q, ch in enumerate(text):
+        x |= (ch in "XY") << q
+        z |= (ch in "YZ") << q
+    return x, z
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PauliLabel(2, 4, 0)
-        with pytest.raises(ValueError):
-            PauliLabel.from_string("XQ")
+
+def support(target):
+    """(x, z, chi) arrays of every label with nonzero chi, by enumerating all 4^n labels."""
+    x, z = np.divmod(np.arange(4**target.n, dtype=np.int64), target.dim)
+    chi = target.characteristic(x, z)
+    keep = chi != 0.0
+    return x[keep], z[keep], chi[keep]
+
+
+def tally(chi, identity, weights):
+    """Total weight per (chi, is-identity) key, the key a label class shares."""
+    out = {}
+    for key, weight in zip(zip(chi.tolist(), identity.tolist()), weights.tolist()):
+        out[key] = out.get(key, 0) + weight
+    return out
 
 
 class TestTargets:
@@ -61,18 +66,15 @@ class TestCharacteristicClosedForms:
         assert w_state(3).characteristic(0, 0) == pytest.approx(1 / math.sqrt(8), rel=1e-14)
 
     def test_w_single_z(self):
-        label = PauliLabel.from_string("ZII")
-        chi = w_state(3).characteristic(label.x_bits, label.z_bits)
+        chi = w_state(3).characteristic(*pauli_bits("ZII"))
         assert abs(chi) == pytest.approx(1 / (3 * math.sqrt(8)), rel=1e-14)
 
     def test_w_odd_overlap_is_zero(self):
-        label = PauliLabel.from_string("XYII")  # |x| = 2, overlap 1
-        assert w_state(4).characteristic(label.x_bits, label.z_bits) == 0.0
+        assert w_state(4).characteristic(*pauli_bits("XYII")) == 0.0  # |x| = 2, overlap 1
 
     def test_ghz_examples(self):
         def chi(text):
-            label = PauliLabel.from_string(text)
-            return ghz_state(label.n).characteristic(label.x_bits, label.z_bits)
+            return ghz_state(len(text)).characteristic(*pauli_bits(text))
 
         assert chi("XX") == pytest.approx(0.5)
         assert chi("ZI") == 0.0
@@ -110,9 +112,7 @@ class TestCharacteristicClosedForms:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_support_normalization_by_enumeration(self, n):
-        target = w_state(n)
-        labels, chis = target.support()
-        assert np.all(chis != 0.0)
+        _, _, chis = support(w_state(n))
         assert float(np.sum(chis**2)) == pytest.approx(1.0, abs=1e-9)
         assert float(np.sum(np.abs(chis))) == pytest.approx(z_exact(n), rel=1e-12)
 
@@ -153,93 +153,92 @@ class TestLabelClasses:
     )
     def test_classes_match_the_support(self, target):
         # group the enumerated support by (chi, is-identity), the class table likewise
-        labels, chis = target.support()
-        expected = {}
-        for label, chi in zip(labels, chis.tolist()):
-            key = (chi, label.is_identity)
-            expected[key] = expected.get(key, 0) + 1
+        x, z, chis = support(target)
+        expected = tally(chis, (x == 0) & (z == 0), np.ones(chis.size))
         x, z, count, chi = _label_classes(target)
         assert np.array_equal(chi, target.characteristic(x, z))
-        table = {}
-        for key, c in zip(zip(chi.tolist(), ((x == 0) & (z == 0)).tolist()), count.tolist()):
-            table[key] = table.get(key, 0) + c
-        assert table == expected
+        assert tally(chi, (x == 0) & (z == 0), count) == expected
 
     @pytest.mark.parametrize("n", range(3, 63))
     def test_w_l1_sum_is_z_exact(self, n):
         _, _, count, chi = _label_classes(w_state(n))
         assert float(np.sum(count * np.abs(chi))) == pytest.approx(z_exact(n), rel=1e-12)
-        assert w_state(n).l1_normalizer() == pytest.approx(z_exact(n), rel=1e-12)
 
     def test_rejects_more_qubits_than_a_label_holds(self):
         with pytest.raises(ValueError):
             _label_classes(w_state(63))
         with pytest.raises(ValueError):
-            sample_paulis(ghz_state(63), "l1", stream(0, 0), 1)
+            run_dfe(ghz_state(63), no_noise(), 0.1, 0.1, "l1", stream(0, 0))
+
+
+def class_shares(target, norm, seed):
+    """Share of the levels each (chi, is-identity) class took in one run of 10^6 levels."""
+    run = run_dfe(target, depolarizing(0.1), 0.01, 0.01, norm, stream(seed, 0))
+    assert run.levels == 10**6
+    x, z, _, chi = _label_classes(target)
+    return tally(chi, (x == 0) & (z == 0), run.class_levels / run.levels)
+
+
+def support_shares(target, norm):
+    """Each class's share of the label law, summed over the enumerated support."""
+    x, z, chi = support(target)
+    weights = np.abs(chi) if norm == "l1" else chi**2
+    return tally(chi, (x == 0) & (z == 0), weights / weights.sum())
+
+
+def tv_between(observed, expected):
+    assert set(observed) == set(expected)
+    return tv_distance(np.array([observed[k] for k in expected]), np.array(list(expected.values())))
 
 
 class TestSamplers:
+    """The label law ``run_dfe`` draws: its class counts over 10^6 levels (standard
+    error below 0.0005 per share) against the enumerated support."""
+
     def test_l1_calibration_w3(self):
+        # each class takes count * |chi| / Z, so each label |chi| / Z
         target = w_state(3)
-        labels, chis = target.support()
-        z_norm = z_exact(3)
-        expected = {(lab.x_bits, lab.z_bits): abs(c) / z_norm for lab, c in zip(labels, chis)}
-        x, z = sample_paulis(target, "l1", stream(60, 0), 1_000_000)
-        counts = {}
-        for xi, zi in zip(x.tolist(), z.tolist()):
-            counts[(xi, zi)] = counts.get((xi, zi), 0) + 1
-        assert set(counts) <= set(expected)
-        emp = np.array([counts.get(key, 0) / x.size for key in expected])
-        assert tv_distance(emp, np.array(list(expected.values()))) < 0.005
+        expected = support_shares(target, "l1")
+        assert np.sum(np.abs(support(target)[2])) == pytest.approx(z_exact(3), rel=1e-12)
+        assert tv_between(class_shares(target, "l1", 60), expected) < 0.003
 
     def test_l1_branch_probability_w3(self):
         # probability of the two-X branch is (n-1) sqrt(d) / 2Z = 2/3 at n = 3
-        x, _ = sample_paulis(w_state(3), "l1", stream(61, 0), 400_000)
-        frac = float(np.mean(x != 0))
-        assert frac == pytest.approx(2.0 / 3.0, abs=0.003)
+        run = run_dfe(w_state(3), depolarizing(0.1), 0.01, 0.01, "l1", stream(61, 0))
+        x, _, _, _ = _label_classes(w_state(3))
+        assert run.class_levels[x != 0].sum() / run.levels == pytest.approx(2.0 / 3.0, abs=0.002)
 
     def test_l2_identity_probability(self):
         # amplitude sampling hits the identity with probability 1/d
-        target = w_state(3)
-        x, z = sample_paulis(target, "l2", stream(62, 0), 400_000)
-        frac = float(np.mean((x == 0) & (z == 0)))
-        assert frac == pytest.approx(1.0 / 8.0, abs=0.004)
+        run = run_dfe(w_state(3), depolarizing(0.1), 0.01, 0.01, "l2", stream(62, 0))
+        x, z, _, _ = _label_classes(w_state(3))
+        identity = (x == 0) & (z == 0)
+        assert identity.sum() == 1
+        assert run.class_levels[identity].sum() / run.levels == pytest.approx(1.0 / 8.0, abs=0.002)
 
     def test_l2_calibration_w3(self):
         target = w_state(3)
-        labels, chis = target.support()
-        expected = {(lab.x_bits, lab.z_bits): float(c * c) for lab, c in zip(labels, chis)}
-        x, z = sample_paulis(target, "l2", stream(63, 0), 400_000)
-        counts = {}
-        for xi, zi in zip(x.tolist(), z.tolist()):
-            counts[(xi, zi)] = counts.get((xi, zi), 0) + 1
-        assert set(counts) <= set(expected)
-        emp = np.array([counts.get(key, 0) / x.size for key in expected])
-        assert tv_distance(emp, np.array(list(expected.values()))) < 0.01
+        assert tv_between(class_shares(target, "l2", 63), support_shares(target, "l2")) < 0.003
 
     def test_ghz_uniform_and_norm_independent(self):
+        # both laws are uniform over the 8 stabilizer labels
         target = ghz_state(3)
-        labels, _ = target.support()
-        assert len(labels) == 8
-        keys = {(lab.x_bits, lab.z_bits) for lab in labels}
+        x, z, chis = support(target)
+        assert chis.size == 8
+        expected = support_shares(target, "l1")
+        assert expected == pytest.approx(tally(chis, (x == 0) & (z == 0), np.full(8, 1 / 8)), rel=1e-12)
+        assert expected == pytest.approx(support_shares(target, "l2"), rel=1e-12)
         for norm in ("l1", "l2"):
-            x, z = sample_paulis(target, norm, stream(64, 0), 200_000)
-            counts = {}
-            for xi, zi in zip(x.tolist(), z.tolist()):
-                counts[(xi, zi)] = counts.get((xi, zi), 0) + 1
-            assert set(counts) <= keys
-            emp = np.array([counts.get(key, 0) / x.size for key in keys])
-            assert tv_distance(emp, np.full(8, 1 / 8)) < 0.01
+            assert tv_between(class_shares(target, norm, 64), expected) < 0.003
 
     def test_bad_norm(self):
         with pytest.raises(ValueError):
-            sample_paulis(w_state(3), "l3", stream(0, 0), 1)
+            run_dfe(w_state(3), no_noise(), 0.1, 0.1, "l3", stream(0, 0))
 
 
 def expectation_of(target, noise, text):
     """The noisy expectation ``run_dfe`` simulates for one label given as a Pauli string."""
-    label = PauliLabel.from_string(text)
-    x, z = np.array([label.x_bits]), np.array([label.z_bits])
+    x, z = (np.array([bits]) for bits in pauli_bits(text))
     return float(_pauli_expectation(target, noise, x, z, target.characteristic(x, z))[0])
 
 
@@ -252,8 +251,7 @@ class TestMeasurements:
 
     def test_noiseless_z_mean(self):
         # oracle: tr(rho Z x I x I) = 1/3 for the three-qubit W state
-        label = PauliLabel.from_string("ZII")
-        oracle = pauli_expectation(w_state_vector(3), 3, label.x_bits, label.z_bits)
+        oracle = pauli_expectation(w_state_vector(3), 3, *pauli_bits("ZII"))
         assert oracle == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert expectation_of(w_state(3), no_noise(), "ZII") == pytest.approx(oracle, abs=1e-12)
 
@@ -283,7 +281,7 @@ class TestRunDfe:
         assert run.total_measurements == int(run.class_levels @ run.class_budgets)
         # every budget must be one of the admissible per-chi values
         target = w_state(3)
-        _, chis = target.support()
+        _, _, chis = support(target)
         admissible = {
             math.ceil(2 * math.log(2 / delta) / (eps**2 * run.levels * target.dim * c**2))
             for c in chis
@@ -296,12 +294,12 @@ class TestRunDfe:
         # computed with no Monte Carlo, must equal the true fidelity
         target = w_state(3)
         noise = depolarizing(0.13)
-        labels, chis = target.support()
+        x, z, chis = support(target)
         sqrt_d = math.sqrt(target.dim)
-        z_norm = target.l1_normalizer()
+        z_norm = float(np.sum(np.abs(chis)))
         total = 0.0
-        for label, chi in zip(labels, chis):
-            expectation = 1.0 if label.is_identity else noise.shrink * sqrt_d * chi
+        for identity, chi in zip(((x == 0) & (z == 0)).tolist(), chis.tolist()):
+            expectation = 1.0 if identity else noise.shrink * sqrt_d * chi
             if norm == "l1":
                 prob = abs(chi) / z_norm
                 weight = z_norm * math.copysign(1.0, chi) / sqrt_d
@@ -325,12 +323,12 @@ class TestRunDfe:
         noise = depolarizing(0.2)
         eps, delta, runs = 0.3, 0.3, 500
         levels = math.ceil(1 / (eps**2 * delta))
-        sqrt_d, z_norm, log_term = math.sqrt(target.dim), target.l1_normalizer(), math.log(2 / delta)
+        x, z, chis = support(target)
+        sqrt_d, z_norm, log_term = math.sqrt(target.dim), float(np.sum(np.abs(chis))), math.log(2 / delta)
         l1_scale = target.n**2 / 4 if target.kind == "w" else 1.0
-        labels, chis = target.support()
         mean = second = 0.0
-        for label, chi in zip(labels, chis):
-            e = 1.0 if label.is_identity else noise.shrink * sqrt_d * chi
+        for identity, chi in zip(((x == 0) & (z == 0)).tolist(), chis.tolist()):
+            e = 1.0 if identity else noise.shrink * sqrt_d * chi
             if norm == "l1":
                 prob, weight = abs(chi) / z_norm, z_norm * math.copysign(1.0, chi) / sqrt_d
                 budget = math.ceil(2 * log_term * l1_scale / (levels * eps**2))
@@ -359,11 +357,8 @@ class TestRunDfe:
 
     @pytest.mark.parametrize(
         "call, limit",
-        [
-            (lambda: run_dfe(w_state(60), depolarizing(0.1), 0.01, 0.1, "l1", stream(82, 0)), 2**20),
-            (lambda: sample_paulis(w_state(60), "l1", stream(83, 0), 10**5), 16 * 2**20),
-        ],
-        ids=["run_dfe-w60-eps0.01", "sample_paulis-w60-1e5"],
+        [(lambda: run_dfe(w_state(60), depolarizing(0.1), 0.01, 0.1, "l1", stream(82, 0)), 2**20)],
+        ids=["run_dfe-w60-eps0.01"],
     )
     def test_memory_is_o_n_per_level_draw(self, call, limit):
         # 10^5 levels of 60 qubits; a levels x n array of 8-byte entries is 46 MiB.
@@ -455,20 +450,16 @@ class TestBounds:
 
 
 class TestWellConditioned:
+    """``Z <= sqrt(d) / alpha`` with conditioning parameter alpha = 1/n for W and 1 for GHZ."""
+
     def test_w_alpha(self):
         for n in range(3, 21):
-            report = well_conditioned_check(w_state(n))
-            assert report.alpha == pytest.approx(1.0 / n, rel=1e-14)
-            assert report.holds
-            assert report.z_value <= report.z_limit * (1 + 1e-12)
+            assert z_exact(n) <= n * math.sqrt(1 << n) * (1 + 1e-12)
 
     def test_ghz_equality(self):
         for n in (2, 3, 4, 8, 16):
-            report = well_conditioned_check(ghz_state(n))
-            assert report.alpha == 1.0
-            assert report.z_value == pytest.approx(report.z_limit, rel=1e-12)
-            assert report.holds
+            _, _, count, chi = _label_classes(ghz_state(n))
+            assert float(np.sum(count * np.abs(chi))) == pytest.approx(math.sqrt(1 << n), rel=1e-12)
 
     def test_w5_explicit_bound(self):
-        report = well_conditioned_check(w_state(5))
-        assert report.z_value <= 5 * math.sqrt(32) + 1e-9
+        assert z_exact(5) <= 5 * math.sqrt(32) + 1e-9

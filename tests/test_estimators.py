@@ -96,13 +96,6 @@ class TestEstimateInnerProduct:
         assert rep.error_scale == pytest.approx(scale, rel=1e-12)
         assert abs(rep.estimate - 12.0) <= 0.01 * scale
 
-    def test_callable_query_access(self):
-        x = np.array([2.0, -1.0, 0.5])
-        y = np.array([1.0, 1.0, 1.0])
-        tree = build_vector_tree(x, 1)
-        rep = estimate_inner_product(tree, lambda i: y[i], 0.05, 0.1, stream(4, 0))
-        assert abs(rep.estimate - 1.5) <= 0.05 * rep.error_scale
-
     def test_zero_x_rejected(self):
         tree = build_vector_tree([0.0, 0.0], 2)
         with pytest.raises(EmptyDistributionError):

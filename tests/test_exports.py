@@ -2,9 +2,12 @@
 
 The benchmark's span tracer looks up each ``__all__`` name with ``getattr``,
 so a name left in ``__all__`` after its code is deleted breaks traced runs.
+Every name the package re-exports has a caller outside the unit tests: the
+library itself, the CLI, the acceptance suite or a benchmark workload.
 The README's library quickstart must run against the names it imports.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -15,6 +18,7 @@ import pytest
 
 import lpsample
 
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(info.name for info in pkgutil.iter_modules(lpsample.__path__))
 
 
@@ -35,8 +39,39 @@ def test_package_reexports_only_declared_names():
     assert undeclared == []
 
 
+def _name_sites(path):
+    """(name, line) of every Name, import alias and attribute in one source file."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], node.lineno
+            if node.asname:
+                yield node.asname, node.lineno
+
+
+def test_every_reexport_has_a_caller_outside_the_unit_tests():
+    callers = [path for path in sorted((ROOT / "src" / "lpsample").glob("*.py")) if path.name != "__init__.py"]
+    callers += [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+    sites = {}
+    for path in callers:
+        for name, line in _name_sites(path):
+            sites.setdefault(name, []).append((path.resolve(), line))
+    uncalled = []
+    for attr, obj in sorted(vars(lpsample).items()):
+        if attr.startswith("_") or inspect.ismodule(obj):
+            continue
+        lines, first = inspect.getsourcelines(obj)
+        home, span = Path(inspect.getsourcefile(obj)).resolve(), range(first, first + len(lines))
+        if all(path == home and line in span for path, line in sites.get(attr, [])):
+            uncalled.append(attr)
+    assert uncalled == []
+
+
 def test_readme_library_quickstart_runs():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = re.search(r"## Library quickstart\s+```python\n(.*?)```", readme, re.DOTALL)
     assert block is not None
     namespace = {}

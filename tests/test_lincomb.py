@@ -11,7 +11,6 @@ from lpsample.lincomb import (
     measure_mp,
     mp_curve,
     run_ratio_experiment,
-    sample_from_combination,
     theoretical_limit,
     theoretical_mp,
 )
@@ -141,12 +140,13 @@ class TestRejectionSampler:
         for p in (1.0, 1.5, 2.0):
             mt = build_matrix_tree(np.array([[1.0], [2.0], [-1.0]]), p)
             for k in range(20):
-                res = sample_from_combination(mt, [3.0], stream(44, k))
+                res = CombinationSampler(mt, [3.0]).sample(stream(44, k))
                 assert res.iterations == 1
 
     def test_counterexample_always_accepts_second_row(self):
         mt = build_matrix_tree(COUNTER_A, 2.0)
-        results = [sample_from_combination(mt, COUNTER_X, stream(45, k)) for k in range(60)]
+        sampler = CombinationSampler(mt, COUNTER_X)
+        results = [sampler.sample(stream(45, k)) for k in range(60)]
         assert all(r.index == 1 for r in results)
 
     def test_counterexample_mean_iterations(self):
@@ -168,12 +168,13 @@ class TestRejectionSampler:
         )
         mt = build_matrix_tree(A, 1.0)
         x = np.array([1.0, -0.5, 2.0])
+        sampler = CombinationSampler(mt, x)
         for k in range(100):
-            assert sample_from_combination(mt, x, stream(47, k)).iterations == 1
+            assert sampler.sample(stream(47, k)).iterations == 1
 
     def test_query_accounting(self):
         mt = build_matrix_tree(COUNTER_A, 1.0)
-        res = sample_from_combination(mt, COUNTER_X, stream(48, 0))
+        res = CombinationSampler(mt, COUNTER_X).sample(stream(48, 0))
         n = 2
         assert res.queries == 2 * n + res.iterations * n
 
@@ -204,18 +205,15 @@ class TestRejectionSampler:
 
     def test_zero_combination_hits_cap(self):
         mt = build_matrix_tree(np.array([[1.0, -1.0]]), 1.0)
-        with pytest.raises(NonTerminationError):
-            sample_from_combination(mt, [1.0, 1.0], stream(52, 0), max_iterations=300)
+        # expected_iterations=1 caps the loop at 10^4 proposals
+        with pytest.raises(NonTerminationError) as caught:
+            CombinationSampler(mt, [1.0, 1.0], expected_iterations=1).sample(stream(52, 0))
+        assert caught.value.iterations == 10_000
 
     def test_zero_weights_rejected(self):
         mt = build_matrix_tree(np.array([[1.0, 1.0]]), 1.0)
         with pytest.raises(EmptyDistributionError):
             CombinationSampler(mt, [0.0, 0.0])
-
-    def test_callable_coefficients(self):
-        mt = build_matrix_tree(COUNTER_A, 2.0)
-        res = sample_from_combination(mt, lambda j: COUNTER_X[j], stream(53, 0))
-        assert res.index == 1
 
 
 class TestMeasureMp:

@@ -256,7 +256,8 @@ class TestUpdate:
 
     @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
     def test_bool_indices_rejected(self, flag):
-        # a bool is an int to Python and a mask to NumPy, never an entry index
+        # a bool is an int to Python and a mask to NumPy, never an entry index;
+        # nor is a float a column index to sample_rows
         tree = build_vector_tree([-1, 2, -3, 4], 1)
         mt = build_matrix_tree([[1, 5, 0], [2, 7, 1], [3, 0, 2]], 1)
         vector_bytes, matrix_bytes = tree._nodes.tobytes(), mt._tree._nodes.tobytes()
@@ -266,14 +267,16 @@ class TestUpdate:
             tree.query_entry(flag)
         for call in (lambda: mt.update_entry(flag, 0, 5.0), lambda: mt.update_entry(0, flag, 5.0),
                      lambda: mt.query_entry(flag, 0), lambda: mt.query_entry(0, flag),
-                     lambda: mt.query_row(flag), lambda: mt.column_pnorm_power(flag),
-                     lambda: mt.sample_row(flag, stream(0, 0))):
+                     lambda: mt.query_row(flag), lambda: mt.sample_row(flag, stream(0, 0)),
+                     lambda: mt.sample_rows([flag, not flag], stream(0, 0)),
+                     lambda: mt.sample_rows(np.array([1.7]), stream(0, 0))):
             with pytest.raises(IndexError):
                 call()
         assert tree.entries().tolist() == [-1, 2, -3, 4]
         assert tree._nodes.tobytes() == vector_bytes and tree.leaf_signs.tolist() == [-1, 1, -1, 1]
         assert mt._tree._nodes.tobytes() == matrix_bytes
         assert mt.dense().tolist() == [[1, 5, 0], [2, 7, 1], [3, 0, 2]]
+        assert mt.sample_rows([], stream(0, 0)).tolist() == []
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_updated_tree_is_bytewise_the_built_tree(self, p):
@@ -426,7 +429,7 @@ class TestSerialization:
         assert twin._tree._nodes.tobytes() == mt._tree._nodes.tobytes()
         twin.update_entry(0, 0, 9.0)
         assert mt.query_entry(0, 0) != 9.0 and twin.query_entry(0, 0) == pytest.approx(9.0)
-        assert twin.column_pnorm_power(0) > mt.column_pnorm_power(0)
+        assert twin.column_pnorm_powers()[0] > mt.column_pnorm_powers()[0]
 
     def test_truncated_buffer_rejected(self):
         tree = build_vector_tree([1, 2], 1)
@@ -435,7 +438,7 @@ class TestSerialization:
 
 
 def column_probabilities(mt):
-    return [mt.column_pnorm_power(j) / mt.total_pnorm_power() for j in range(mt.shape[1])]
+    return (mt.column_pnorm_powers() / mt.total_pnorm_power()).tolist()
 
 
 class TestMatrixTree:
@@ -469,7 +472,7 @@ class TestMatrixTree:
             A[rng.random(size=A.shape) < 0.3] = 0.0
             mt = build_matrix_tree(A, p)
             flat = build_vector_tree(A.reshape(-1), p)
-            two_level = mt.entry_probabilities().reshape(-1)
+            two_level = (mt.leaf_magnitudes / mt.total_pnorm_power()).reshape(-1)
             np.testing.assert_allclose(two_level, flat.probabilities(), rtol=1e-12, atol=1e-15)
 
     def test_two_level_sampling_frequencies(self):
@@ -488,9 +491,8 @@ class TestMatrixTree:
     def test_query_entry(self):
         mt = build_matrix_tree([[1, -3], [0, 2]], 2)
         assert mt.query_entry(0, 1) == pytest.approx(-3.0)
-        assert mt.column_pnorm_power(1) == pytest.approx(13.0)
+        assert mt.column_pnorm_powers().tolist() == pytest.approx([1.0, 13.0])
         assert mt.total_pnorm_power() == pytest.approx(14.0)
-        assert mt.column_pnorm_powers().tolist() == [mt.column_pnorm_power(j) for j in range(2)]
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_query_row_matches_query_entry(self, p):
@@ -516,8 +518,6 @@ class TestMatrixTree:
         with pytest.raises(IndexError):
             mt.update_entry(i, j, 1.0)
         if not 0 <= j < 3:
-            with pytest.raises(IndexError):
-                mt.column_pnorm_power(j)
             with pytest.raises(IndexError):
                 mt.sample_row(j, stream(0, 0))
             with pytest.raises(IndexError):
@@ -567,13 +567,13 @@ class TestMatrixTree:
                 assert np.all(A[rows, cols] != 0.0)
         weights = np.abs(A) ** p
         np.testing.assert_allclose(mt.dense(), A, rtol=1e-12)
-        for j in range(n):
-            assert mt.column_pnorm_power(j) == pytest.approx(weights[:, j].sum(), rel=1e-12)
+        np.testing.assert_allclose(mt.column_pnorm_powers(), weights.sum(axis=0), rtol=1e-12)
         if weights.sum() > 0.0:
-            np.testing.assert_allclose(mt.entry_probabilities(), weights / weights.sum(), rtol=1e-12)
+            probabilities = mt.leaf_magnitudes / mt.total_pnorm_power()
+            np.testing.assert_allclose(probabilities, weights / weights.sum(), rtol=1e-12)
         else:
             with pytest.raises(EmptyDistributionError):
-                mt.entry_probabilities()
+                mt.sample_entries(rng, 1)
         mt.audit()
 
     # first draws for stream (2024, 0) and (2024, 1), recorded when the scalar
@@ -616,6 +616,6 @@ class TestMatrixTree:
                       [2.5, -0.25, 0.0], [0.0, 1.0, 2.0]])
         mt = build_matrix_tree(A, 1.5)
         mt.update_entry(3, 2, -1.75)
-        got = [mt.column_pnorm_power(j).hex() for j in range(3)] + [mt.total_pnorm_power().hex()]
+        got = [v.hex() for v in mt.column_pnorm_powers().tolist()] + [mt.total_pnorm_power().hex()]
         assert got == ["0x1.539c10b306cd0p+2", "0x1.7e827999fcef3p+3", "0x1.6ade19de71226p+3",
                        "0x1.c9974de8f8bc1p+4"]
