@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import pickle
 import struct
@@ -619,3 +620,39 @@ class TestMatrixTree:
         got = [v.hex() for v in mt.column_pnorm_powers().tolist()] + [mt.total_pnorm_power().hex()]
         assert got == ["0x1.539c10b306cd0p+2", "0x1.7e827999fcef3p+3", "0x1.6ade19de71226p+3",
                        "0x1.c9974de8f8bc1p+4"]
+
+
+class TestBatchedStreamsGolden:
+    """sha256 of the batched draws (``sample_indices``, ``sample_entries``,
+    ``sample_rows``) and of ``to_bytes`` on sizes that exercise padding.  The
+    node layout may move; the streams and the byte format may not."""
+
+    GOLDEN = {
+        1.0: "6e10d08a2ccdd10b0f82fa0b7ebe429b577ec914d9c9c5f023eeac35563d9739",
+        1.5: "d5785cb27c4918bca638692711938cbb1d117757f08a3dce81b3e98e1308befe",
+        2.0: "317cd82f6bee00e2d119d352ff570b192681acf4d42ebb507d91050280736ac3",
+    }
+
+    @staticmethod
+    def streams_digest(p):
+        digest = hashlib.sha256()
+        for k, n in enumerate((1, 5, 1000, 4097)):
+            x = stream(81, k).normal(size=n)
+            x[1::3] = 0.0
+            tree = build_vector_tree(x, p)
+            digest.update(tree.to_bytes())
+            digest.update(tree.sample_indices(stream(82, k), 3000).astype("<i8").tobytes())
+        for k, (m, n) in enumerate(((7, 3), (300, 5))):
+            A = stream(83, k).normal(size=(m, n))
+            A[::4] = 0.0
+            mt = build_matrix_tree(A, p)
+            digest.update(mt._tree.to_bytes())
+            rows, cols = mt.sample_entries(stream(84, k), 3000)
+            digest.update(rows.astype("<i8").tobytes() + cols.astype("<i8").tobytes())
+            cols = stream(85, k).integers(n, size=3000)
+            digest.update(mt.sample_rows(cols, stream(86, k)).astype("<i8").tobytes())
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("p", sorted(GOLDEN))
+    def test_batched_streams_golden(self, p):
+        assert self.streams_digest(p) == self.GOLDEN[p]
