@@ -27,7 +27,6 @@ __all__ = [
     "estimate_trace_inner_product",
     "error_scale",
     "f_curve",
-    "improvement_factor",
     "empirical_improvement_factor",
     "mom_counts",
 ]
@@ -185,14 +184,6 @@ def f_curve(x, p: float) -> float:
     return float(np.sum(ax ** p) * np.sum(ax ** (2.0 - p)))
 
 
-def improvement_factor(spec: DistributionSpec) -> float:
-    """Average sample-efficiency gain of p=1 over p=2: E[X^2] / (E|X|)^2."""
-    abs_mean = spec.abs_mean()
-    if abs_mean == 0.0:
-        raise ValueError("degenerate spec: E|X| = 0")
-    return spec.second_moment() / (abs_mean * abs_mean)
-
-
 # rows of x per batch: the draws do not depend on it, the rounding of the sums does
 _IMPROVEMENT_CHUNK = 4096
 
@@ -203,11 +194,12 @@ def empirical_improvement_factor(
     trials: int,
     rng: np.random.Generator,
 ) -> float:
-    """Monte Carlo version of :func:`improvement_factor`.
+    """Average sample-efficiency gain of p = 1 over p = 2, by Monte Carlo.
 
-    Draws x repeatedly, averages the estimator-variance proxy
-    ``f(p, x) - ||x||^2`` at p = 2 and p = 1, and returns the ratio, which
-    converges to E[X^2] / (E|X|)^2 for zero-mean families.
+    Draws ``trials`` vectors x of length n, averages the estimator-variance
+    proxy ``f(p, x) - ||x||^2`` at p = 2 and p = 1, and returns the ratio,
+    which converges to E[X^2] / (E|X|)^2 for zero-mean families (pi/2 for a
+    normal, 4/3 for a uniform, 2 for a laplace).
     """
     if abs(spec.mean()) > 1e-12:
         raise ValueError("the averaged identity requires a zero-mean family")

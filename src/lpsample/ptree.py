@@ -2,19 +2,23 @@
 
 A vector tree stores ``|x_i|**p`` at its leaves together with ``sign(x_i)``,
 and every internal node holds the sum of its two children, so the root equals
-``sum_i |x_i|**p``.  Sampling an index with probability ``|x_i|**p / root``,
-updating one entry, and reading an entry or the root are all O(log n); these
-scalar operations walk a memoryview of the node buffer, on Python floats, and
-an update recomputes each ancestor from its two children with one read a level.
+``sum_i |x_i|**p``.  The nodes form a 1-based heap: the root is at slot 1, the
+children of node v at ``2v`` and ``2v + 1``, its sibling at ``v ^ 1`` and its
+parent at ``v >> 1``; slot 0 is unused and stays zero.  Sampling an index with
+probability ``|x_i|**p / root``, updating one entry, and reading an entry or
+the root are all O(log n); these scalar operations walk a memoryview of the
+node buffer, on Python floats, and an update recomputes each ancestor from its
+two children with one read a level.
 Every draw, scalar or batched, is one inverse-CDF descent of one uniform, so a
 stream gives the same indices one at a time as in a batch.
 
 The matrix variant is a layout of one vector tree: the entries in
 column-major order, each column padded to a power-of-two stride, so every
-column is a complete subtree and the levels above the column roots form the
-column-norm tree.  Drawing an entry is one descent from the root (a column by
-its p-norm power, then a row within it); drawing a row of a given column is a
-descent from that column's root.
+column is a complete subtree (column j's root is node ``C + j``, with C the
+column count rounded up to a power of two) and the levels above the column
+roots form the column-norm tree.  Drawing an entry is one descent from the
+root (a column by its p-norm power, then a row within it); drawing a row of a
+given column is a descent from that column's root.
 
 Trees are single-writer: concurrent sampling and queries are safe only while
 no update runs; nothing here synchronizes internally.  Parallel experiment
@@ -91,10 +95,12 @@ def _signed_values(magnitudes: np.ndarray, signs: np.ndarray, p: float) -> np.nd
 class WeightedVectorTree:
     """Complete binary tree over ``|x_i|**p`` with signs, padded to a power of two.
 
-    Entry indices are 0-based.  Leaves live at array offsets
-    ``capacity - 1 .. capacity - 1 + n``; padding leaves are zero and can
-    never be sampled.  ``last_op_visits`` records the number of tree nodes
-    touched by the most recent sample or update, for cost-accounting tests.
+    Entry indices are 0-based.  ``_nodes`` is a 1-based heap of
+    ``2 * capacity`` slots: slot 0 is unused and zero, the root is slot 1,
+    node v has children ``2v`` and ``2v + 1``, and entry i's leaf is slot
+    ``capacity + i``; padding leaves are zero and can never be sampled.
+    ``last_op_visits`` records the number of tree nodes touched by the most
+    recent sample or update, for cost-accounting tests.
     """
 
     __slots__ = ("_p", "_n", "_capacity", "_depth", "_nodes", "_view", "_signs", "last_op_visits")
@@ -141,8 +147,8 @@ class WeightedVectorTree:
         self._n = n
         self._capacity = capacity
         self._depth = capacity.bit_length() - 1
-        self._nodes = np.zeros(2 * capacity - 1, dtype=np.float64)
-        self._nodes[capacity - 1 : capacity - 1 + n] = magnitudes
+        self._nodes = np.zeros(2 * capacity, dtype=np.float64)
+        self._nodes[capacity : capacity + n] = magnitudes
         self._view = memoryview(self._nodes)  # shares _nodes' buffer; reads give floats
         self._signs = signs
         self.last_op_visits = 0
@@ -160,7 +166,7 @@ class WeightedVectorTree:
     @property
     def leaf_magnitudes(self) -> np.ndarray:
         """View of the n leaf values ``|x_i|**p`` (do not mutate)."""
-        return self._nodes[self._capacity - 1 : self._capacity - 1 + self._n]
+        return self._nodes[self._capacity : self._capacity + self._n]
 
     @property
     def leaf_signs(self) -> np.ndarray:
@@ -169,7 +175,7 @@ class WeightedVectorTree:
 
     def query_pnorm_power(self) -> float:
         """Root value, equal to the p-th power of the p-norm of the vector."""
-        return self._view[0]
+        return self._view[1]
 
     def query_entry(self, i: int) -> float:
         """Signed entry ``sign_i * magnitude_i**(1/p)``."""
@@ -177,7 +183,7 @@ class WeightedVectorTree:
         return self._entry(i)
 
     def _entry(self, i: int) -> float:
-        leaf = self._capacity - 1 + i
+        leaf = self._capacity + i
         mag = self._view[leaf]
         s = int(self._signs[i])
         if self._p == 1.0:
@@ -193,7 +199,7 @@ class WeightedVectorTree:
 
     def probabilities(self) -> np.ndarray:
         """Sampling distribution over indices, ``|x_i|**p / root``."""
-        root = self._view[0]
+        root = self._view[1]
         if root <= 0.0:
             raise EmptyDistributionError("all entries are zero")
         return self.leaf_magnitudes / root
@@ -207,9 +213,9 @@ class WeightedVectorTree:
         it is at least the left child's value and subtracting that value as
         it goes (see :meth:`_descend`).
         """
-        if self._view[0] <= 0.0:
+        if self._view[1] <= 0.0:
             raise EmptyDistributionError("all entries are zero")
-        index = self._descend(rng, 0, self._depth)
+        index = self._descend(rng, 1, self._depth)
         self.last_op_visits = self._depth + 1
         return index
 
@@ -220,9 +226,9 @@ class WeightedVectorTree:
         give, except when rounding lands a draw on a zero leaf, which is made
         again at the end of the batch (see :meth:`_descend_many`).
         """
-        if self._view[0] <= 0.0:
+        if self._view[1] <= 0.0:
             raise EmptyDistributionError("all entries are zero")
-        return self._descend_many(rng, np.zeros(size, dtype=np.int64), self._depth)
+        return self._descend_many(rng, np.ones(size, dtype=np.int64), self._depth)
 
     def _descend(self, rng: np.random.Generator, start: int, levels: int) -> int:
         """Draw one leaf ``levels`` levels below ``start``; return its entry index.
@@ -237,13 +243,13 @@ class WeightedVectorTree:
             node = start
             u = rng.random() * nodes[start]
             for _ in range(levels):
-                node = 2 * node + 1
+                node += node  # the left child
                 left = nodes[node]
                 if u >= left:
                     u -= left
                     node += 1
             if nodes[node] != 0.0:
-                return node - (self._capacity - 1)
+                return node - self._capacity
 
     def _descend_many(self, rng: np.random.Generator, start: np.ndarray, levels: int) -> np.ndarray:
         """Draw one leaf ``levels`` levels below each node in ``start``; return entry indices.
@@ -255,28 +261,35 @@ class WeightedVectorTree:
         carry a draw past its subtree's total into a zero leaf; such draws
         are made again, in draw order.  :meth:`_descend` follows the same
         rule one draw at a time.  The caller checks that every start node has
-        weight.
+        weight, and hands over ``start``: it is walked in place and returned.
+
+        The gathers use ``mode="clip"``, which skips the bounds check and the
+        buffered output of the default ``mode="raise"``, and never clips: a
+        start node ``levels`` levels above the leaves, doubled ``levels`` times
+        with 0 or 1 added each time, lands in ``[capacity, 2 * capacity)``.
+        So a draw's start node is its leaf shifted right by ``levels``, and
+        the redraws need no copy of ``start``.
         """
         nodes = self._nodes
-        idx = start.copy()
+        idx = start
         u = rng.random(idx.size)
-        u *= nodes[idx]
-        left = np.empty_like(u)
+        left = np.take(nodes, idx, mode="clip")
+        u *= left
         go_right = np.empty(u.size, dtype=bool)
         for _ in range(levels):
-            idx *= 2
-            idx += 1
-            np.take(nodes, idx, out=left)
+            idx += idx  # the left child
+            np.take(nodes, idx, out=left, mode="clip")
             np.greater_equal(u, left, out=go_right)
             # u - left where going right, u - 0.0 (exactly u) elsewhere; a
             # masked subtract (where=) is several times slower
             np.multiply(left, go_right, out=left)
             u -= left
             idx += go_right
-        stray = np.flatnonzero(nodes[idx] == 0.0)
-        idx -= self._capacity - 1
+        np.take(nodes, idx, out=left, mode="clip")
+        stray = np.flatnonzero(left == 0.0)
         if stray.size:
-            idx[stray] = self._descend_many(rng, start[stray], levels)
+            idx[stray] = self._descend_many(rng, idx[stray] >> levels, levels) + self._capacity
+        idx -= self._capacity
         return idx
 
     # -- mutation ------------------------------------------------------------
@@ -305,14 +318,14 @@ class WeightedVectorTree:
             sign = 1 if value > 0 else -1
         self._signs[i] = sign
         nodes = self._view
-        idx = self._capacity - 1 + i
+        idx = self._capacity + i
         nodes[idx] = mag
         visits = 1
         # carry the sum just written up the path: each ancestor is its two children's
         # sum (IEEE addition commutes, so the bits are left + right), never a drifting delta
-        while idx > 0:
-            mag += nodes[idx + 1 if idx & 1 else idx - 1]  # the sibling
-            idx = (idx - 1) >> 1
+        while idx > 1:
+            mag += nodes[idx ^ 1]  # the sibling
+            idx >>= 1
             nodes[idx] = mag
             visits += 1
         self.last_op_visits = visits
@@ -323,9 +336,8 @@ class WeightedVectorTree:
         size = self._capacity
         while size > 1:
             size //= 2
-            nodes[size - 1 : 2 * size - 1] = (
-                nodes[2 * size - 1 : 4 * size - 1 : 2] + nodes[2 * size : 4 * size - 1 : 2]
-            )
+            children = nodes[2 * size : 4 * size]
+            np.add(children[::2], children[1::2], out=nodes[size : 2 * size])  # in place
 
     def audit(self, rel_tol: float = 1e-9) -> None:
         """Check structural invariants; raise :class:`TreeAuditError` on failure."""
@@ -334,19 +346,19 @@ class WeightedVectorTree:
         mags = self.leaf_magnitudes
         if np.any(mags < 0) or not np.all(np.isfinite(nodes)):
             raise TreeAuditError("leaf magnitudes must be finite and nonnegative")
-        if np.any(nodes[cap - 1 + self._n :] != 0.0):
-            raise TreeAuditError("padding leaves must stay zero")
+        if nodes[0] != 0.0 or np.any(nodes[cap + self._n :] != 0.0):
+            raise TreeAuditError("slot 0 and the padding leaves must stay zero")
         if np.any((self._signs == 0) != (mags == 0.0)):
             raise TreeAuditError("sign/magnitude zero pattern mismatch")
         if cap > 1:
-            parents = nodes[: cap - 1]
-            child_sums = nodes[1 : 2 * cap - 2 : 2] + nodes[2 : 2 * cap - 1 : 2]
+            parents = nodes[1:cap]
+            child_sums = nodes[2 : 2 * cap : 2] + nodes[3 : 2 * cap : 2]
             tol = rel_tol * np.maximum(np.abs(parents), np.abs(child_sums))
             bad = np.abs(parents - child_sums) > tol
             if np.any(bad):
                 k = int(np.flatnonzero(bad)[0])
                 raise TreeAuditError(
-                    f"node {k} holds {parents[k]!r} but its children sum to {child_sums[k]!r}"
+                    f"node {k + 1} holds {parents[k]!r} but its children sum to {child_sums[k]!r}"
                 )
 
     # -- serialization -------------------------------------------------------
@@ -384,8 +396,8 @@ class WeightedMatrixTree:
 
     Column j occupies leaves ``j * stride .. j * stride + m - 1``, where the
     stride is m rounded up to a power of two; the padding rows below each
-    column hold zero.  Column j is then the complete subtree rooted at node
-    ``C - 1 + j`` (C is n rounded up to a power of two), whose value is the
+    column hold zero.  Column j is then the complete subtree rooted at heap
+    node ``C + j`` (C is n rounded up to a power of two), whose value is the
     column's p-norm power, and the levels above those roots form the
     column-norm tree.  One descent from the root therefore draws a column with
     probability proportional to its p-norm power and a row within it from the
@@ -409,7 +421,7 @@ class WeightedMatrixTree:
         self._n = n
         self._stride = stride
         self._row_levels = stride.bit_length() - 1
-        self._column_root = _capacity_for(n) - 1
+        self._column_root = _capacity_for(n)
 
     @property
     def p(self) -> float:

@@ -137,27 +137,6 @@ class DistributionSpec:
     def second_moment(self) -> float:
         return self.variance() + self.mean() ** 2
 
-    def abs_mean(self) -> float:
-        """E|X| in closed form for every family."""
-        f, q = self.family, self.params
-        if f == "normal":
-            mu, sigma = q
-            return sigma * math.sqrt(2.0 / math.pi) * math.exp(-(mu * mu) / (2.0 * sigma * sigma)) + mu * math.erf(
-                mu / (sigma * math.sqrt(2.0))
-            )
-        if f == "uniform":
-            a, b = q
-            if a >= 0:
-                return (a + b) / 2.0
-            if b <= 0:
-                return -(a + b) / 2.0
-            return (a * a + b * b) / (2.0 * (b - a))
-        if f == "laplace":
-            mu, b = q
-            return abs(mu) + b * math.exp(-abs(mu) / b)
-        # exponential, beta and gamma have nonnegative support
-        return self.mean()
-
 
 def normal(mu: float, sigma: float) -> DistributionSpec:
     return DistributionSpec("normal", (mu, sigma))

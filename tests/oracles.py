@@ -120,11 +120,6 @@ def quad_gaussian_abs_moment(sigma, p):
     return value
 
 
-def quad_abs_moment(pdf, lo, hi, p):
-    value, _ = integrate.quad(lambda t: abs(t) ** p * pdf(t), lo, hi, limit=200)
-    return value
-
-
 # -- inverse-CDF index draws -------------------------------------------------------
 
 

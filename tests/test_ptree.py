@@ -241,11 +241,11 @@ class TestUpdate:
         before = tree._nodes.copy()
         tree.update_entry(5, 9.0)
         changed = set(np.flatnonzero(before != tree._nodes))
-        leaf = tree._capacity - 1 + 5
-        path = {leaf}
-        while leaf > 0:
-            leaf = (leaf - 1) // 2
-            path.add(leaf)
+        v = tree._capacity + 5
+        path = {v}
+        while v > 1:
+            v >>= 1
+            path.add(v)
         assert changed <= path
 
     def test_update_errors(self):
@@ -395,9 +395,49 @@ class TestInvariants:
 
     def test_audit_detects_corruption(self):
         tree = build_vector_tree([1, 2, 3, 4], 1)
-        tree._nodes[0] *= 1.5
+        tree._nodes[1] *= 1.5  # the root
         with pytest.raises(TreeAuditError):
             tree.audit()
+
+    @pytest.mark.parametrize("n", [1, 4, 5])
+    def test_audit_detects_nonzero_slot_zero(self, n):
+        tree = build_vector_tree(np.arange(1, n + 1.0), 1)
+        tree.audit()
+        tree._nodes[0] = 1.0
+        with pytest.raises(TreeAuditError):
+            tree.audit()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 9), st.integers(1, 7), st.booleans(),
+           st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    def test_heap_sums_and_descent_stay_in_subtree(self, data, m, n, matrix, p):
+        # the 1-based heap: node v holds _nodes[2v] + _nodes[2v+1] exactly, and
+        # _descend_many's unchecked gathers only ever land on weighted leaves of
+        # the start node's subtree, from the root and from every column root
+        shape = (m, n) if matrix else (m * n,)
+        value = st.integers(-400, 400).map(lambda k: k / 8)
+        values = np.array(data.draw(st.lists(value, min_size=m * n, max_size=m * n))).reshape(shape)
+        tree = (build_matrix_tree if matrix else build_vector_tree)(values, p)
+        vt = tree._tree if matrix else tree
+        steps = data.draw(st.lists(st.tuples(st.integers(0, m * n - 1), value), max_size=20))
+        for stage in range(2):
+            if stage:
+                for k, x in steps:
+                    tree.update_entry(*(int(c) for c in np.unravel_index(k, shape)), x)
+            nodes, cap = vt._nodes, vt._capacity
+            assert nodes[0] == 0.0 and nodes.size == 2 * cap
+            v = np.arange(1, cap)
+            assert np.array_equal(nodes[v], nodes[2 * v] + nodes[2 * v + 1])
+            starts = [(1, vt._depth)]
+            if matrix:
+                starts += [(tree._column_root + j, tree._row_levels) for j in range(n)]
+            for start, levels in starts:
+                if nodes[start] > 0.0:
+                    rng = stream(53, 100 * stage + start)
+                    idx = vt._descend_many(rng, np.full(64, start, dtype=np.int64), levels)
+                    first = (start << levels) - cap
+                    assert np.all((idx >= first) & (idx < first + (1 << levels)))
+                    assert np.all(vt.leaf_magnitudes[idx] > 0.0)
 
 
 class TestSerialization:

@@ -17,7 +17,7 @@ from lpsample.randkit import (
     uniform,
 )
 
-from oracles import quad_abs_moment, quad_gaussian_abs_moment
+from oracles import quad_gaussian_abs_moment
 
 ALL_SPECS = [
     normal(0, 1),
@@ -123,16 +123,6 @@ class TestDraws:
 
 
 class TestClosedFormMoments:
-    def test_abs_mean_against_quadrature(self):
-        cases = [
-            (normal(2, 0.5), lambda t: math.exp(-((t - 2) ** 2) / 0.5) / (0.5 * math.sqrt(2 * math.pi)), -10, 14),
-            (laplace(1, 1), lambda t: 0.5 * math.exp(-abs(t - 1)), -40, 42),
-            (uniform(-3, 1), lambda t: 0.25 if -3 <= t <= 1 else 0.0, -3, 1),
-            (uniform(1, 5), lambda t: 0.25 if 1 <= t <= 5 else 0.0, 1, 5),
-        ]
-        for spec, pdf, lo, hi in cases:
-            assert spec.abs_mean() == pytest.approx(quad_abs_moment(pdf, lo, hi, 1.0), rel=1e-8)
-
     def test_second_moment_consistency(self):
         for spec in ALL_SPECS:
             assert spec.second_moment() == pytest.approx(spec.variance() + spec.mean() ** 2, rel=1e-14)
