@@ -2,23 +2,22 @@
 
 A vector tree stores ``|x_i|**p`` at its leaves together with ``sign(x_i)``,
 and every internal node holds the sum of its two children, so the root equals
-``sum_i |x_i|**p``.  The nodes form a 1-based heap: the root is at slot 1, the
-children of node v at ``2v`` and ``2v + 1``, its sibling at ``v ^ 1`` and its
-parent at ``v >> 1``; slot 0 is unused and stays zero.  Sampling an index with
-probability ``|x_i|**p / root``, updating one entry, and reading an entry or
-the root are all O(log n); these scalar operations walk a memoryview of the
-node buffer, on Python floats, and an update recomputes each ancestor from its
-two children with one read a level.
+``sum_i |x_i|**p``; the nodes form a 1-based heap (root 1, children ``2v`` and
+``2v + 1``, slot 0 unused).  Sampling an index with probability
+``|x_i|**p / root``, updating one entry, and reading an entry or the root are
+all O(log n); these scalar operations walk a memoryview of the node buffer, on
+Python floats, and an update recomputes each ancestor from its two children
+with one read a level.
 Every draw, scalar or batched, is one inverse-CDF descent of one uniform, so a
 stream gives the same indices one at a time as in a batch.
 
 The matrix variant is a layout of one vector tree: the entries in
 column-major order, each column padded to a power-of-two stride, so every
-column is a complete subtree (column j's root is node ``C + j``, with C the
-column count rounded up to a power of two) and the levels above the column
-roots form the column-norm tree.  Drawing an entry is one descent from the
-root (a column by its p-norm power, then a row within it); drawing a row of a
-given column is a descent from that column's root.
+column is a complete subtree (column j's root is node ``C + j``, C being n
+rounded up to a power of two) and the levels above form the column-norm tree.
+Drawing an entry is one descent from the root (a column by its p-norm power,
+then a row within it); drawing a row of a given column is a descent from that
+column's root.
 
 Trees are single-writer: concurrent sampling and queries are safe only while
 no update runs; nothing here synchronizes internally.  Parallel experiment
@@ -95,13 +94,10 @@ def _signed_values(magnitudes: np.ndarray, signs: np.ndarray, p: float) -> np.nd
 def _apart(like: np.ndarray) -> np.ndarray:
     """Empty float64 array of ``like``'s length, half a 4 KiB page from it.
 
-    A gather that reads indices from ``like`` and writes here keeps many
-    cache misses in flight only if no index load matches a pending store in
-    the low 12 address bits, which x86 cores compare first and then hold
-    the load back ("4K aliasing").  Heap arrays allocated one after another
-    often sit 16-40 bytes apart modulo 4 KiB, the worst case: at 2^24
-    leaves a 65 536-draw walk gathered in 15-23 ms there, 8 ms half a page
-    apart.
+    A gather from indices in ``like`` into the result stalls on "4K aliasing"
+    (an index load matching a pending store in the low 12 address bits) when
+    the two sit a few elements apart, as consecutive heap arrays often do: at
+    2^24 leaves, 15-23 ms a 65 536-draw walk against 8 ms half a page apart.
     """
     buf = np.empty(like.size + 512)
     shift = ((like.ctypes.data + 2048 - buf.ctypes.data) % 4096) // 8
@@ -115,8 +111,7 @@ class WeightedVectorTree:
     ``2 * capacity`` slots: slot 0 is unused and zero, the root is slot 1,
     node v has children ``2v`` and ``2v + 1``, and entry i's leaf is slot
     ``capacity + i``; padding leaves are zero and can never be sampled.
-    ``last_op_visits`` records the number of tree nodes touched by the most
-    recent sample or update, for cost-accounting tests.
+    ``last_op_visits`` counts the nodes the last sample or update touched.
     """
 
     __slots__ = ("_p", "_n", "_capacity", "_depth", "_nodes", "_view", "_signs", "last_op_visits")
@@ -277,14 +272,12 @@ class WeightedVectorTree:
         carry a draw past its subtree's total into a zero leaf; such draws
         are made again, in draw order.  :meth:`_descend` follows the same
         rule one draw at a time.  The caller checks that every start node has
-        weight, and hands over ``start``: it is walked in place and returned.
+        weight, and hands over ``start``, which is walked in place.
 
-        The gathers use ``mode="clip"``, which skips the bounds check and the
-        buffered output of the default ``mode="raise"``, and never clips: a
-        start node ``levels`` levels above the leaves, doubled ``levels`` times
-        with 0 or 1 added each time, lands in ``[capacity, 2 * capacity)``.
-        So a draw's start node is its leaf shifted right by ``levels``, and
-        the redraws need no copy of ``start``.
+        ``mode="clip"`` skips the bounds check and buffered output of
+        ``mode="raise"`` and never clips: a start node ``levels`` levels up,
+        doubled ``levels`` times with 0 or 1 added each time, lands in
+        ``[capacity, 2 * capacity)``; so a redraw restarts at its leaf >> levels.
         """
         nodes = self._nodes
         idx = start

@@ -14,6 +14,7 @@ from lpsample.ptree import (
     TreeAuditError,
     WeightedMatrixTree,
     WeightedVectorTree,
+    _apart,
     build_matrix_tree,
     build_vector_tree,
 )
@@ -406,6 +407,13 @@ class TestInvariants:
         tree._nodes[0] = 1.0
         with pytest.raises(TreeAuditError):
             tree.audit()
+
+    @pytest.mark.parametrize("size", [1, 7, 65536])
+    def test_gather_output_sits_half_a_page_from_its_indices(self, size):
+        idx = np.ones(size, dtype=np.int64)
+        left = _apart(idx)
+        assert left.size == size and left.dtype == np.float64
+        assert (left.ctypes.data - idx.ctypes.data) % 4096 == 2048
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.integers(1, 9), st.integers(1, 7), st.booleans(),
