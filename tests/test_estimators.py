@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -254,3 +255,48 @@ class TestTraceEstimator:
         mt = build_matrix_tree(np.zeros((2, 2)), 1)
         with pytest.raises(EmptyDistributionError):
             estimate_trace_inner_product(mt, [1, 1], [1, 1], 0.1, 0.1, stream(0, 0))
+
+
+class TestEstimatorGolden:
+    """sha256 of both estimators' reports (``estimate`` as ``float.hex``,
+    ``groups``, ``samples_per_group``, ``total_samples``, ``error_scale``) on
+    vectors and matrices with zero entries, the matrices' columns padded.  The
+    code behind the estimators may move; their bits may not.  The scale is
+    asked for only at p <= 2: p = 3 with a zero x_i facing a nonzero y_i has
+    none (``UndefinedScaleError``)."""
+
+    GOLDEN = {
+        1.0: "89608b7958d4899e2b3982fb9434ff7e3af237d27be51569e872355038e084f7",
+        1.5: "9334e91fe5b6f3bea50750bcdb5ad1b7d6fad85349203b4b2e5271fbc0ac0e99",
+        2.0: "abe33575af3f39dcba8fc38ea2b80a1c4de5b7dfbc28fce9b1afb48e87b31628",
+        3.0: "5644fe34bfd0aa3e22fe494afbd5f4aec4d4cbb9ac2fda963e89a33f8ebe02c3",
+    }
+
+    @staticmethod
+    def reports_digest(p):
+        tolerances = ((0.3, 0.2), (0.2, 0.1), (0.1, 0.05))
+        reports = []
+        for k, n in enumerate((1, 5, 1000)):
+            x = stream(91, k).normal(size=n)
+            x[1::3] = 0.0
+            y = stream(92, k).normal(size=n)
+            tree = build_vector_tree(x, p)
+            reports.append(estimate_inner_product(tree, y, *tolerances[k], stream(93, k), compute_scale=p <= 2.0))
+        for k, (m, n) in enumerate(((7, 3), (300, 5))):
+            A = stream(94, k).normal(size=(m, n))
+            A[::4] = 0.0
+            x = stream(95, k).normal(size=m)
+            x[2::5] = 0.0
+            y = stream(96, k).normal(size=n)
+            mt = build_matrix_tree(A, p)
+            reports.append(estimate_trace_inner_product(mt, x, y, *tolerances[k], stream(97, k)))
+        digest = hashlib.sha256()
+        for rep in reports:
+            scale = None if rep.error_scale is None else rep.error_scale.hex()
+            fields = (rep.estimate.hex(), rep.groups, rep.samples_per_group, rep.total_samples, scale)
+            digest.update(repr(fields).encode())
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("p", sorted(GOLDEN))
+    def test_reports_golden(self, p):
+        assert self.reports_digest(p) == self.GOLDEN[p]
