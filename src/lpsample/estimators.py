@@ -6,8 +6,9 @@ is the inner product <x, y>.  Robust aggregation uses the median of
 ceil(6 ln(1/delta)) group means with ceil(9 / (2 eps^2)) samples per group,
 which pins the additive error to eps times the error scale
 ``||x||_p^(p/2) * sqrt(<x^(2-p), y^(2)>)`` with probability at least
-1 - delta.  The other side of each product (y, or x and y for a bilinear
-form) is an array, read only at the sampled indices.
+1 - delta.  As x^T A y is the inner product of vec(A) with x (x) y, the trace
+estimator is this estimator on the matrix tree's flat leaves.  The other side
+(y, or x_i * y_j) is an array of exact length, read only at the sampled indices.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ptree import EmptyDistributionError, WeightedMatrixTree, WeightedVectorTree
+from .ptree import WeightedMatrixTree, WeightedVectorTree
 from .randkit import DistributionSpec
 
 __all__ = [
@@ -51,8 +52,12 @@ def _median_of_means(values: np.ndarray, groups: int, per_group: int) -> float:
     return float(means[(groups - 1) // 2])
 
 
-def _gather(y, indices: np.ndarray) -> np.ndarray:
-    return np.asarray(y, dtype=np.float64)[indices]
+def _side(values, size: int, name: str) -> np.ndarray:
+    """``values`` as a float64 array, which must hold exactly ``size`` entries."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (size,):
+        raise ValueError(f"{name} must have shape ({size},), got {values.shape}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,19 @@ class EstimateReport:
     total_samples: int
 
 
+def _draw_weights(tree: WeightedVectorTree, epsilon: float, delta: float, rng: np.random.Generator):
+    """Median-of-means counts, ``groups * per_group`` indices i drawn from ``tree`` (never
+    at x_i = 0) and their weights ``||x||_p^p * sgn(x_i) * |x_i|**(1-p)``."""
+    groups, per_group = mom_counts(epsilon, delta)
+    idx = tree.sample_indices(rng, groups * per_group)  # raises EmptyDistributionError at x = 0
+    weights = tree.query_pnorm_power() * tree.leaf_signs[idx]
+    p = tree.p
+    if p != 1.0:
+        # at p = 1 no per-sample power: the weight is sgn(x_i) * ||x||_1
+        weights *= tree.leaf_magnitudes[idx] ** ((1.0 - p) / p)
+    return groups, per_group, idx, weights
+
+
 def estimate_inner_product(
     tree: WeightedVectorTree,
     y,
@@ -79,35 +97,15 @@ def estimate_inner_product(
 ) -> EstimateReport:
     """Estimate <x, y> given the sampling tree for x and the entries of y.
 
-    Indices with x_i = 0 are never sampled, so the negative power of zero in
-    the per-sample weight cannot occur.  When ``compute_scale`` is set the
-    report carries the error scale, which costs n extra queries of y and is
-    meant for diagnostics, not for the estimate itself.
+    ``y`` must have one entry per entry of x.  When ``compute_scale`` is set
+    the report carries the error scale, which costs n extra queries of y and
+    is meant for diagnostics, not for the estimate itself.
     """
-    groups, per_group = mom_counts(epsilon, delta)
-    total = groups * per_group
-    root = tree.query_pnorm_power()
-    if root <= 0.0:
-        raise EmptyDistributionError("cannot estimate against an all-zero x")
-
-    idx = tree.sample_indices(rng, total)
-    signs = tree.leaf_signs[idx]
-    yv = _gather(y, idx)
-    p = tree.p
-    if p == 1.0:
-        # no per-sample division or power: the weight is sgn(x_i) * ||x||_1
-        values = root * signs * yv
-    else:
-        mags = tree.leaf_magnitudes[idx]
-        values = root * signs * mags ** ((1.0 - p) / p) * yv
-    estimate = _median_of_means(values, groups, per_group)
-
-    scale = None
-    if compute_scale:
-        x_vals = tree.entries()
-        y_full = _gather(y, np.arange(len(tree)))
-        scale = error_scale(x_vals, y_full, p)
-    return EstimateReport(estimate, float(epsilon), float(delta), scale, groups, per_group, total)
+    y = _side(y, len(tree), "y")
+    groups, per_group, idx, weights = _draw_weights(tree, epsilon, delta, rng)
+    estimate = _median_of_means(weights * y[idx], groups, per_group)
+    scale = error_scale(tree.entries(), y, tree.p) if compute_scale else None
+    return EstimateReport(estimate, float(epsilon), float(delta), scale, groups, per_group, groups * per_group)
 
 
 def estimate_trace_inner_product(
@@ -118,30 +116,19 @@ def estimate_trace_inner_product(
     delta: float,
     rng: np.random.Generator,
 ) -> EstimateReport:
-    """Estimate the bilinear form x^T A y from two-level (row, column) samples.
+    """Estimate the bilinear form x^T A y, the inner product of vec(A) with x (x) y.
 
-    Each sample (i, j) drawn from the matrix distribution contributes
-    ``x_i * y_j * sgn(A_ij) * |A_ij|**(1-p)`` scaled by the total p-norm
-    power, which is unbiased for x^T A y; aggregation matches
-    :func:`estimate_inner_product`.
+    The vector estimator on the matrix tree's flat leaves: each drawn entry
+    (i, j) of A is weighed as an entry of vec(A), times ``x_i * y_j``.  ``x``
+    and ``y`` must have m and n entries for an m-by-n A.
     """
-    groups, per_group = mom_counts(epsilon, delta)
-    total_samples = groups * per_group
-    total_power = matrix_tree.total_pnorm_power()
-    if total_power <= 0.0:
-        raise EmptyDistributionError("cannot estimate against an all-zero matrix")
-
-    rows, cols = matrix_tree.sample_entries(rng, total_samples)
-    p = matrix_tree.p
-    xv = _gather(x, rows)
-    yv = _gather(y, cols)
-    signs = matrix_tree.leaf_signs[rows, cols]
-    weight = 1.0 if p == 1.0 else matrix_tree.leaf_magnitudes[rows, cols] ** ((1.0 - p) / p)
-    values = total_power * signs * weight * xv * yv
-    estimate = _median_of_means(values, groups, per_group)
-    return EstimateReport(
-        estimate, float(epsilon), float(delta), None, groups, per_group, total_samples
-    )
+    m, n = matrix_tree.shape
+    x = _side(x, m, "x")
+    y = _side(y, n, "y")
+    groups, per_group, idx, weights = _draw_weights(matrix_tree._tree, epsilon, delta, rng)
+    cols, rows = np.divmod(idx, matrix_tree._stride)
+    estimate = _median_of_means(weights * x[rows] * y[cols], groups, per_group)
+    return EstimateReport(estimate, float(epsilon), float(delta), None, groups, per_group, groups * per_group)
 
 
 def error_scale(x, y, p: float) -> float:

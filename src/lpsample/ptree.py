@@ -441,22 +441,8 @@ class WeightedMatrixTree:
     def shape(self) -> tuple[int, int]:
         return (self._m, self._n)
 
-    @property
-    def leaf_magnitudes(self) -> np.ndarray:
-        """(m, n) view of the leaf values ``|A_ij|**p`` (do not mutate)."""
-        return self._grid(self._tree.leaf_magnitudes)
-
-    @property
-    def leaf_signs(self) -> np.ndarray:
-        """(m, n) view of the entry signs in {-1, 0, +1} (do not mutate)."""
-        return self._grid(self._tree.leaf_signs)
-
     def _grid(self, leaves: np.ndarray) -> np.ndarray:
         return leaves.reshape(self._n, self._stride)[:, : self._m].T
-
-    def total_pnorm_power(self) -> float:
-        """Sum over columns of the column p-norm powers."""
-        return self._tree.query_pnorm_power()
 
     def column_pnorm_powers(self) -> np.ndarray:
         """All n column p-norm powers, as a new array."""

@@ -106,6 +106,14 @@ class TestEstimateInnerProduct:
         rep = estimate_inner_product(tree, [1.0, 1.0], 0.2, 0.2, stream(5, 0), compute_scale=False)
         assert rep.error_scale is None
 
+    @pytest.mark.parametrize("length", [1, 2, 5])
+    def test_wrong_length_y_rejected_before_drawing(self, length):
+        tree = build_vector_tree([1.0, -2.0, 3.0], 1.5)
+        rng = stream(4, 0)
+        with pytest.raises(ValueError, match=r"y must have shape \(3,\)"):
+            estimate_inner_product(tree, np.ones(length), 0.2, 0.2, rng)
+        assert rng.random() == stream(4, 0).random()
+
     def test_failure_rate_smoke(self):
         rng_data = stream(6, 0)
         x = rng_data.normal(size=128)
@@ -250,6 +258,14 @@ class TestTraceEstimator:
             y = rng.normal(size=n)
             mean = enumerate_trace_estimator(A, x, y, p)
             assert mean == pytest.approx(float(x @ A @ y), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("x_len,y_len", [(2, 2), (4, 2), (3, 1), (3, 3), (2, 1), (6, 2)])
+    def test_wrong_lengths_rejected_before_drawing(self, x_len, y_len):
+        mt = build_matrix_tree([[1.0, 0.0], [0.0, 2.0], [3.0, -1.0]], 1.5)
+        rng = stream(14, 0)
+        with pytest.raises(ValueError, match="must have shape"):
+            estimate_trace_inner_product(mt, np.ones(x_len), np.ones(y_len), 0.2, 0.2, rng)
+        assert rng.random() == stream(14, 0).random()
 
     def test_zero_matrix_rejected(self):
         mt = build_matrix_tree(np.zeros((2, 2)), 1)

@@ -487,7 +487,7 @@ class TestSerialization:
 
 
 def column_probabilities(mt):
-    return (mt.column_pnorm_powers() / mt.total_pnorm_power()).tolist()
+    return (mt.column_pnorm_powers() / mt._tree.query_pnorm_power()).tolist()
 
 
 class TestMatrixTree:
@@ -521,7 +521,7 @@ class TestMatrixTree:
             A[rng.random(size=A.shape) < 0.3] = 0.0
             mt = build_matrix_tree(A, p)
             flat = build_vector_tree(A.reshape(-1), p)
-            two_level = (mt.leaf_magnitudes / mt.total_pnorm_power()).reshape(-1)
+            two_level = (mt._grid(mt._tree.leaf_magnitudes) / mt._tree.query_pnorm_power()).reshape(-1)
             np.testing.assert_allclose(two_level, flat.probabilities(), rtol=1e-12, atol=1e-15)
 
     def test_two_level_sampling_frequencies(self):
@@ -541,7 +541,7 @@ class TestMatrixTree:
         mt = build_matrix_tree([[1, -3], [0, 2]], 2)
         assert mt.query_entry(0, 1) == pytest.approx(-3.0)
         assert mt.column_pnorm_powers().tolist() == pytest.approx([1.0, 13.0])
-        assert mt.total_pnorm_power() == pytest.approx(14.0)
+        assert mt._tree.query_pnorm_power() == pytest.approx(14.0)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_query_row_matches_query_entry(self, p):
@@ -611,14 +611,14 @@ class TestMatrixTree:
         for i, j, v in steps:
             mt.update_entry(i, j, v)
             A[i, j] = v
-            if mt.total_pnorm_power() > 0.0:
+            if mt._tree.query_pnorm_power() > 0.0:
                 rows, cols = mt.sample_entries(rng, 8)
                 assert np.all(A[rows, cols] != 0.0)
         weights = np.abs(A) ** p
         np.testing.assert_allclose(mt.dense(), A, rtol=1e-12)
         np.testing.assert_allclose(mt.column_pnorm_powers(), weights.sum(axis=0), rtol=1e-12)
         if weights.sum() > 0.0:
-            probabilities = mt.leaf_magnitudes / mt.total_pnorm_power()
+            probabilities = mt._grid(mt._tree.leaf_magnitudes) / mt._tree.query_pnorm_power()
             np.testing.assert_allclose(probabilities, weights / weights.sum(), rtol=1e-12)
         else:
             with pytest.raises(EmptyDistributionError):
@@ -665,7 +665,7 @@ class TestMatrixTree:
                       [2.5, -0.25, 0.0], [0.0, 1.0, 2.0]])
         mt = build_matrix_tree(A, 1.5)
         mt.update_entry(3, 2, -1.75)
-        got = [v.hex() for v in mt.column_pnorm_powers().tolist()] + [mt.total_pnorm_power().hex()]
+        got = [v.hex() for v in mt.column_pnorm_powers().tolist()] + [mt._tree.query_pnorm_power().hex()]
         assert got == ["0x1.539c10b306cd0p+2", "0x1.7e827999fcef3p+3", "0x1.6ade19de71226p+3",
                        "0x1.c9974de8f8bc1p+4"]
 
