@@ -9,10 +9,10 @@ declared default), calls ``cmd_<name>`` (which only computes and returns
 input source included. A command that raises writes no file. Numeric outputs
 are byte-reproducible for a fixed seed; timestamps live only in the manifest.
 
-Exit codes: 0 success; 2 usage (a bad flag, a count, exponent or probability
-out of range, neither or both of --matrix/--synthetic); 3 data error (a bad
-config value, or a DFE run whose counts or labels exceed int64, included); 4
-internal invariant violation.
+Exit codes: 0 success; 2 usage (a bad flag, a seed, count, exponent or
+probability out of range, neither or both of --matrix/--synthetic); 3 data
+error (a bad config value or ``$LPSAMPLE_SEED``, or a DFE run whose counts or
+labels exceed int64, included); 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def _is_exponent(p: float) -> bool:
 
 
 _count = _bounded(int, lambda v: v >= 1, ">= 1")  # trials, runs, m, n, n_list, n_users, min_overlap
-_size = _bounded(int, lambda v: v >= 0, ">= 0")  # pairs, samples per trial
+_size = _bounded(int, lambda v: v >= 0, ">= 0")  # seed, pairs, samples per trial
 _probability = _bounded(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")  # epsilon, delta
 _exponent = _bounded(float, _is_exponent, "finite and >= 1")  # p
 _dist_arg = _arg_type(parse_distribution)
@@ -211,11 +211,19 @@ def _from_config(action: argparse.Action, value):
     return [action.type(str(v)) for v in (value if isinstance(value, list) else [value])]
 
 
+def _env_seed(args) -> int:
+    """The seed in ``$LPSAMPLE_SEED``, parsed like ``--seed``; 0 when unset or empty."""
+    try:
+        return _size(os.environ.get(SEED_ENV_VAR) or "0")
+    except argparse.ArgumentTypeError as exc:
+        raise DataError(f"bad ${SEED_ENV_VAR}: {exc}") from None
+
+
 def _declare(parser: argparse.ArgumentParser, func, **defaults) -> None:
     """Bind a command and its optional flags' defaults, resolved in order after the seed:
     a value, a function of the namespace, or ``None`` (the flag or config must set it)."""
     actions = {action.dest: action for action in parser._actions}
-    defaults = {"seed": lambda args: int(os.environ.get(SEED_ENV_VAR) or 0), **defaults}
+    defaults = {"seed": _env_seed, **defaults}
     parser.set_defaults(func=func, declared={dest: (actions[dest], d) for dest, d in defaults.items()})
 
 
@@ -506,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, help=f"default: ${SEED_ENV_VAR} or 0")
+    common.add_argument("--seed", type=_size, help=f"default: ${SEED_ENV_VAR} or 0")
     common.add_argument("--config", help="JSON file whose keys (flag dest names) fill unset flags")
     writes = argparse.ArgumentParser(add_help=False, parents=[common])  # the runner's commands
     writes.add_argument("--out", required=True)

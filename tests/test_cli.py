@@ -525,6 +525,34 @@ def test_bad_count_or_probability_is_rejected(command, dest, value, source, rati
     assert list(out_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "source,value,code",
+    [("flag", -1, EXIT_USAGE), ("flag", "abc", EXIT_USAGE), ("config", -2, EXIT_DATA), ("config", 1.5, EXIT_DATA),
+     ("env", "-1", EXIT_DATA), ("env", "abc", EXIT_DATA)],
+)
+@pytest.mark.parametrize("command", sorted(set(MINIMAL) - {"ingest"}))
+def test_bad_seed_is_rejected(command, source, value, code, ratings_file, tmp_path, monkeypatch, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = minimal_argv(command, ratings_file, out_dir / "out")
+    if source == "flag":
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--seed", value])
+        assert exc.value.code == code
+    else:
+        if source == "config":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"seed": value}))
+            argv += ["--config", config]
+        else:
+            monkeypatch.setenv("LPSAMPLE_SEED", value)
+        assert run(argv) == code
+        lines = capsys.readouterr().err.strip().splitlines()
+        named = "'seed'" if source == "config" else "$LPSAMPLE_SEED"
+        assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0]
+    assert list(out_dir.iterdir()) == []
+
+
 def test_p_grid_size_is_bounded_before_the_grid_is_built():
     tracemalloc.start()
     try:
