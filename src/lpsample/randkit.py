@@ -134,9 +134,6 @@ class DistributionSpec:
         k, theta = q
         return k * theta ** 2
 
-    def second_moment(self) -> float:
-        return self.variance() + self.mean() ** 2
-
 
 def normal(mu: float, sigma: float) -> DistributionSpec:
     return DistributionSpec("normal", (mu, sigma))

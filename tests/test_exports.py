@@ -52,21 +52,49 @@ def _name_sites(path):
                 yield node.asname, node.lineno
 
 
-def test_every_reexport_has_a_caller_outside_the_unit_tests():
+def _caller_sites():
+    """name -> [(path, line)] over the library (``__init__`` aside), the acceptance suite and perfbench."""
     callers = [path for path in sorted((ROOT / "src" / "lpsample").glob("*.py")) if path.name != "__init__.py"]
     callers += [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
     sites = {}
     for path in callers:
         for name, line in _name_sites(path):
             sites.setdefault(name, []).append((path.resolve(), line))
+    return sites
+
+
+def _called_elsewhere(name, obj, sites):
+    """Whether ``name`` occurs at some site outside the source of ``obj``."""
+    lines, first = inspect.getsourcelines(obj)
+    home, span = Path(inspect.getsourcefile(obj)).resolve(), range(first, first + len(lines))
+    return not all(path == home and line in span for path, line in sites.get(name, []))
+
+
+def _reexports():
+    return [(attr, obj) for attr, obj in sorted(vars(lpsample).items())
+            if not attr.startswith("_") and not inspect.ismodule(obj)]
+
+
+def test_every_reexport_has_a_caller_outside_the_unit_tests():
+    sites = _caller_sites()
+    assert [attr for attr, obj in _reexports() if not _called_elsewhere(attr, obj, sites)] == []
+
+
+def test_every_public_member_of_a_reexported_class_has_a_caller_outside_the_unit_tests():
+    """The same scan over the methods and properties each re-exported class
+    defines (dataclass fields are values, not functions, and are skipped)."""
+    sites = _caller_sites()
     uncalled = []
-    for attr, obj in sorted(vars(lpsample).items()):
-        if attr.startswith("_") or inspect.ismodule(obj):
+    for attr, cls in _reexports():
+        if not inspect.isclass(cls):
             continue
-        lines, first = inspect.getsourcelines(obj)
-        home, span = Path(inspect.getsourcefile(obj)).resolve(), range(first, first + len(lines))
-        if all(path == home and line in span for path, line in sites.get(attr, [])):
-            uncalled.append(attr)
+        for name, member in vars(cls).items():
+            if isinstance(member, property):
+                member = member.fget
+            elif isinstance(member, (classmethod, staticmethod)):
+                member = member.__func__
+            if not name.startswith("_") and inspect.isfunction(member) and not _called_elsewhere(name, member, sites):
+                uncalled.append(f"{attr}.{name}")
     assert uncalled == []
 
 

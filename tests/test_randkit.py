@@ -122,12 +122,6 @@ class TestDraws:
         assert abs(x.mean() - spec.mean()) <= 4 * se
 
 
-class TestClosedFormMoments:
-    def test_second_moment_consistency(self):
-        for spec in ALL_SPECS:
-            assert spec.second_moment() == pytest.approx(spec.variance() + spec.mean() ** 2, rel=1e-14)
-
-
 class TestMomentProfile:
     def test_standard_normal_p2(self):
         prof = moment_profile(normal(0, 1), 2)
