@@ -45,12 +45,18 @@ def ratings_file(tmp_path):
 MATRIX = object()  # stands for the ratings_file path in an argv
 
 # sha256 of every file each argv writes (manifests aside), recorded before the
-# CLI plumbing moved into one runner; integer p only, so no SIMD pow rounding
+# CLI plumbing moved into one runner; integer p only, so no SIMD pow rounding,
+# except "mp-curve-mc", recorded later: fractional p and a Monte Carlo profile
 GOLDEN = {
     "mp-curve": (
         ["mp-curve", "--dist", "normal:0,1", "--m", 16, "--n", 4, 8, "--p-grid", "1:2:1",
          "--trials", 6, "--seed", 7],
         {"out": "f7c8c12af3a1b4dc23578ced18c9701d65bcd2c2a5177433b67183e810e7e50c"},
+    ),
+    "mp-curve-mc": (
+        ["mp-curve", "--dist", "laplace:0,1", "--m", 16, "--n", 4, 8, "--p-grid", "1:2:0.25",
+         "--trials", 6, "--seed", 7],
+        {"out": "811de8d7d5cebecae3146e8a99fea66504916cd112a22f553ef0919ec5d7e053"},
     ),
     "ratio-table": (
         ["ratio-table", "--dists", "normal:0,1", "exponential:1", "--m", 16, "--n-list", 2, 4,

@@ -60,6 +60,63 @@ class TestBuild:
         assert tree.query_entry(0) == 0.0
 
 
+class TestBuildBitsGolden:
+    """sha256 of ``to_bytes()`` and of the whole node array for vector trees
+    (with -0.0, zeros and entries whose ``|x|**p`` underflows), matrix trees
+    and a ``from_bytes`` round trip: a build may change how it fills the
+    heap, never the bits it leaves there."""
+
+    GOLDEN = {
+        1.0: "878a06f1f3325a8ea9f222a0243967eafe7fba3b71f6cce2eae23e400696bc87",
+        1.5: "51c0ef842a0861e4507751a3b176d54b342b84e7e05dcbea3e25905adf8e13fd",
+        2.0: "f287dd9d1822f9c2603755f45a26fd155e479bf2c4ce025d3a1b2ee0a2767801",
+        3.0: "106e1a37eb09b99fcdeb574290848cb85b44af40a01dccae63c337f48d8ce9b1",
+    }
+
+    @staticmethod
+    def vector(n, k):
+        x = stream(91, k).normal(size=n)
+        tiny = [-0.0, 0.0, 1e-110, -1e-200, 5e-324, -3e-160, 2.5]
+        x[: min(n, len(tiny))] = tiny[: min(n, len(tiny))]
+        x[7::5] = -0.0
+        x[9::11] = 0.0
+        x[17::13] = 1e-120
+        return x
+
+    @classmethod
+    def build_digest(cls, p):
+        digest = hashlib.sha256()
+        for k, n in enumerate((1, 7, 8, 9, 4097, 65539)):
+            tree = build_vector_tree(cls.vector(n, k), p)
+            digest.update(tree.to_bytes())
+            digest.update(tree._nodes.tobytes())
+            clone = WeightedVectorTree.from_bytes(tree.to_bytes())
+            digest.update(clone._nodes.tobytes() + clone._signs.tobytes())
+        if p in (1.5, 3.0):
+            for k, (m, n) in enumerate(((7, 3), (300, 5))):
+                A = stream(92, k).normal(size=(m, n))
+                A[::4] = 0.0
+                A[1::5, 0] = -0.0
+                A[2::7] = 1e-110
+                mt = build_matrix_tree(A, p)
+                digest.update(mt._tree.to_bytes())
+                digest.update(mt._tree._nodes.tobytes())
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("p", sorted(GOLDEN))
+    def test_build_bits_golden(self, p):
+        assert self.build_digest(p) == self.GOLDEN[p]
+
+    @pytest.mark.parametrize("p", sorted(GOLDEN))
+    def test_zero_weight_entries_have_zero_sign(self, p):
+        x = self.vector(65539, 5)
+        tree = build_vector_tree(x, p)
+        zero = tree.leaf_magnitudes == 0.0
+        assert np.array_equal(tree.leaf_signs == 0, zero)
+        assert zero[:4].tolist() == [True, True, p == 3.0, p >= 2.0]
+        assert zero[4] == (p >= 1.5)
+
+
 class TestSampling:
     def test_point_mass(self):
         tree = build_vector_tree([0, 7, 0], 1.7)
