@@ -277,19 +277,15 @@ def _load_input_matrix(args) -> SparseMatrix:
 
 def cmd_mp_curve(args) -> dict[Path, str]:
     rows = []
-    for n in args.n:
-        points = mp_curve(args.m, n, args.dist, args.p_grid, args.trials, args.seed)
-        for pt in points:
-            bias = ""
-            if pt.theory_m is not None and pt.stderr_m is not None:
-                band = 2.0 * pt.stderr_m
-                if pt.theory_m > pt.mean_m + band:
-                    bias = "positive"
-                elif pt.theory_m < pt.mean_m - band:
-                    bias = "negative"
-            rows.append(
-                [pt.p, pt.n, pt.m, pt.trials, _fmt(pt.mean_m), _fmt(pt.stderr_m), _fmt(pt.theory_m), bias]
-            )
+    for pt in mp_curve(args.m, args.n, args.dist, args.p_grid, args.trials, args.seed):
+        bias = ""
+        if pt.theory_m is not None and pt.stderr_m is not None:
+            band = 2.0 * pt.stderr_m
+            if pt.theory_m > pt.mean_m + band:
+                bias = "positive"
+            elif pt.theory_m < pt.mean_m - band:
+                bias = "negative"
+        rows.append([pt.p, pt.n, pt.m, pt.trials, _fmt(pt.mean_m), _fmt(pt.stderr_m), _fmt(pt.theory_m), bias])
     header = ["p", "n", "m", "trials", "mean_M", "stderr_M", "theory_M", "theory_bias"]
     return {Path(args.out): _csv(header, rows)}
 
@@ -513,10 +509,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_size, help=f"default: ${SEED_ENV_VAR} or 0")
-    common.add_argument("--config", help="JSON file whose keys (flag dest names) fill unset flags")
-    writes = argparse.ArgumentParser(add_help=False, parents=[common])  # the runner's commands
+    seeded = argparse.ArgumentParser(add_help=False)  # ingest takes --seed and ignores it
+    seeded.add_argument("--seed", type=_size, help=f"default: ${SEED_ENV_VAR} or 0")
+    writes = argparse.ArgumentParser(add_help=False, parents=[seeded])  # the runner's commands
+    writes.add_argument("--config", help="JSON file whose keys (flag dest names) fill unset flags")
     writes.add_argument("--out", required=True)
     source = argparse.ArgumentParser(add_help=False)
     group = source.add_mutually_exclusive_group(required=True)
@@ -566,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dfe.add_argument("--runs", type=_count)
     _declare(p_dfe, cmd_dfe, noise=no_noise(), epsilon=0.05, delta=0.1, runs=20)
 
-    p_ing = sub.add_parser("ingest", parents=[common], help="validate a sparse matrix file")
+    p_ing = sub.add_parser("ingest", parents=[seeded], help="validate a sparse matrix file")
     p_ing.add_argument("path")
     p_ing.add_argument("--format", choices=["auto", "matrix-market", "csv-coo"], default="auto")
     p_ing.set_defaults(func=cmd_ingest)

@@ -339,7 +339,7 @@ def run_ratio_experiment(
 
 def mp_curve(
     m: int,
-    n: int,
+    n,
     spec: DistributionSpec,
     p_grid,
     trials: int,
@@ -347,19 +347,19 @@ def mp_curve(
 ) -> list[MpCurvePoint]:
     """Empirical mean of M(p) across a p grid, with the limit prediction.
 
+    Takes one width ``n`` or a sequence of widths (points width by width, each
+    over the whole grid); the moment profiles are computed once for all.
     Both the matrix and the coefficients are drawn from ``spec``; the theory
     column is emitted only for zero-mean families, where the limit applies.
     """
     p_grid = [float(p) for p in p_grid]
     if not p_grid:
         raise ValueError("p grid must be non-empty")
-    values, _ = _trial_table(spec, spec, m, n, p_grid, trials, seed)
-
-    if spec.mean() == 0.0:
-        theory = [theoretical_mp(profile, n) for profile in moment_profile(spec, p_grid, seed=seed)]
-    else:
-        theory = [None] * len(p_grid)
+    profiles = moment_profile(spec, p_grid, seed=seed) if spec.mean() == 0.0 else None
+    tables = [(w, _trial_table(spec, spec, m, w, p_grid, trials, seed)[0]) for w in np.atleast_1d(n).tolist()]
     return [
-        MpCurvePoint(p, n, m, trials, float(values[k].mean()), _stderr(values[k]), theory[k])
+        MpCurvePoint(p, w, m, trials, float(table[k].mean()), _stderr(table[k]),
+                     profiles and theoretical_mp(profiles[k], w))
+        for w, table in tables
         for k, p in enumerate(p_grid)
     ]

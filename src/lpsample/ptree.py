@@ -7,7 +7,8 @@ and every internal node holds the sum of its two children, so the root equals
 ``|x_i|**p / root``, updating one entry, and reading an entry or the root are
 all O(log n); these scalar operations walk a memoryview of the node buffer, on
 Python floats, and an update recomputes each ancestor from its two children
-with one read a level.
+with one read a level.  A build holds the caller's input, the node array and
+the int8 signs: it writes both straight into the leaf slots, then sums each level.
 Every draw, scalar or batched, is one inverse-CDF descent of one uniform, so a
 stream gives the same indices one at a time as in a batch.
 
@@ -71,24 +72,23 @@ def _check_index(i: int, size: int, what: str = "index") -> None:
         raise IndexError(f"{what} must be an integer in range({size}), got {i!r}")
 
 
-def _magnitudes(values: np.ndarray, p: float) -> np.ndarray:
-    """``|values|**p`` of a float64 array, as a new array."""
-    if p == 1.0:
-        return np.abs(values)
+def _magnitudes(values: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``|values|**p`` of a float64 array, into ``out`` (which may be ``values``) or a new array."""
     if p == 2.0:
-        return values * values
-    mags = np.abs(values)
-    mags **= p  # in place: one temporary fewer than np.abs(values) ** p
+        return np.multiply(values, values, out=out)
+    mags = np.abs(values, out=out)
+    if p != 1.0:
+        mags **= p  # in place: one temporary fewer than np.abs(values) ** p
     return mags
 
 
 def _signed_values(magnitudes: np.ndarray, signs: np.ndarray, p: float) -> np.ndarray:
     """Signed entries ``sign * magnitude**(1/p)`` from leaves, as a new array."""
-    if p == 2.0:
-        magnitudes = np.sqrt(magnitudes)
-    elif p != 1.0:
-        magnitudes = magnitudes ** (1.0 / p)
-    return magnitudes * signs
+    if p == 1.0:
+        return magnitudes * signs
+    values = np.sqrt(magnitudes) if p == 2.0 else magnitudes ** (1.0 / p)
+    values *= signs  # in place: the root already made a new array
+    return values
 
 
 def _apart(like: np.ndarray) -> np.ndarray:
@@ -124,15 +124,8 @@ class WeightedVectorTree:
             raise ValueError("cannot build a tree over an empty vector")
         if not np.all(np.isfinite(values)):
             raise ValueError("input values must all be finite")
-        p = _check_exponent(p)
-        # sign(-0.0) is -0.0 in numpy, which casts to int8 zero as required
-        signs = np.sign(values).astype(np.int8)
-        mags = _magnitudes(values, p)
-        if not np.all(np.isfinite(mags)):
-            raise ValueError("|value|**p overflows for some entry")
-        # |value|**p can underflow to zero; such entries carry zero weight
-        signs[mags == 0.0] = 0
-        self._init_storage(mags, signs, p)
+        self._init_storage(values.size, _check_exponent(p))
+        self._fill(values)
 
     @classmethod
     def _from_magnitudes(cls, magnitudes, signs, p: float) -> "WeightedVectorTree":
@@ -148,21 +141,37 @@ class WeightedVectorTree:
         if np.any((signs == 0) != (magnitudes == 0.0)):
             raise ValueError("sign must be zero exactly where the magnitude is zero")
         tree = cls.__new__(cls)
-        tree._init_storage(magnitudes.copy(), signs.copy(), _check_exponent(p))
+        tree._init_storage(magnitudes.size, _check_exponent(p))
+        tree._fill(magnitudes, signs)
         return tree
 
-    def _init_storage(self, magnitudes: np.ndarray, signs: np.ndarray, p: float) -> None:
-        n = magnitudes.size
+    def _init_storage(self, n: int, p: float) -> None:
+        """Allocate a zeroed heap and signs for n entries; :meth:`_fill` writes them."""
         capacity = _capacity_for(n)
         self._p = p
         self._n = n
         self._capacity = capacity
         self._depth = capacity.bit_length() - 1
         self._nodes = np.zeros(2 * capacity, dtype=np.float64)
-        self._nodes[capacity : capacity + n] = magnitudes
         self._view = memoryview(self._nodes)  # shares _nodes' buffer; reads give floats
-        self._signs = signs
+        self._signs = np.empty(n, dtype=np.int8)
         self.last_op_visits = 0
+
+    def _fill(self, values: np.ndarray, signs: np.ndarray | None = None) -> None:
+        """Write the leaves and signs of a fresh heap (``values`` as magnitudes if
+        ``signs`` is given, else ``|values|**p`` and ``sign(values)``), then sum it.
+        Each pass writes into the node array, which ``values`` may be; the power
+        runs over the contiguous leaves, so its bits are :func:`_magnitudes`'."""
+        leaves = self.leaf_magnitudes
+        if signs is not None:
+            leaves[...], self._signs[...] = values, signs
+        else:
+            # sign(-0.0) is -0.0 in numpy, which casts to int8 zero as required
+            np.sign(values, out=self._signs, casting="unsafe")
+            if math.isinf(_magnitudes(values, self._p, out=leaves).max()):
+                raise ValueError("|value|**p overflows for some entry")
+            # |value|**p can underflow to zero; such entries carry zero weight
+            self._signs[leaves == 0.0] = 0
         self.rebuild()
 
     # -- read access ---------------------------------------------------------
@@ -360,15 +369,19 @@ class WeightedVectorTree:
             raise TreeAuditError("slot 0 and the padding leaves must stay zero")
         if np.any((self._signs == 0) != (mags == 0.0)):
             raise TreeAuditError("sign/magnitude zero pattern mismatch")
-        if cap > 1:
-            parents = nodes[1:cap]
-            child_sums = nodes[2 : 2 * cap : 2] + nodes[3 : 2 * cap : 2]
-            tol = rel_tol * np.maximum(np.abs(parents), np.abs(child_sums))
-            bad = np.abs(parents - child_sums) > tol
-            if np.any(bad):
-                k = int(np.flatnonzero(bad)[0])
+        # level by level from the root, so the first bad node found has the lowest
+        # heap index; the work rows (sums, tolerances, gaps) fit the widest level
+        work, bad = np.empty((3, cap // 2)), np.empty(cap // 2, dtype=bool)
+        for size in (1 << level for level in range(self._depth)):
+            parents, children = nodes[size : 2 * size], nodes[2 * size : 4 * size]
+            sums, tol, gap = work[:, :size]
+            np.add(children[::2], children[1::2], out=sums)
+            np.multiply(rel_tol, np.maximum(np.abs(parents, out=tol), np.abs(sums, out=gap), out=tol), out=tol)
+            np.abs(np.subtract(parents, sums, out=gap), out=gap)
+            if np.greater(gap, tol, out=bad[:size]).any():
+                k = int(bad[:size].argmax())
                 raise TreeAuditError(
-                    f"node {k + 1} holds {parents[k]!r} but its children sum to {child_sums[k]!r}"
+                    f"node {size + k} holds {parents[k]!r} but its children sum to {sums[k]!r}"
                 )
 
     # -- serialization -------------------------------------------------------
@@ -423,10 +436,14 @@ class WeightedMatrixTree:
         m, n = entries.shape
         if m == 0 or n == 0:
             raise ValueError("matrix must have at least one row and one column")
+        if not np.all(np.isfinite(entries)):
+            raise ValueError("input values must all be finite")
         stride = _capacity_for(m)
-        columns = np.zeros((n, stride))
-        columns[:, :m] = entries.T
-        self._tree = WeightedVectorTree(columns.reshape(-1), p)
+        self._tree = tree = WeightedVectorTree.__new__(WeightedVectorTree)
+        tree._init_storage(n * stride, _check_exponent(p))
+        leaves = tree.leaf_magnitudes
+        leaves.reshape(n, stride)[:, :m] = entries.T  # padding rows stay zero
+        tree._fill(leaves)
         self._m = m
         self._n = n
         self._stride = stride

@@ -406,6 +406,17 @@ class TestIngest:
     def test_missing_file(self, tmp_path, capsys):
         assert run(["ingest", tmp_path / "nope.csv"]) == EXIT_DATA
 
+    def test_config_is_a_usage_error(self, ratings_file, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text("{}")
+        with pytest.raises(SystemExit) as exc:
+            run(["ingest", ratings_file, "--config", config])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_seed_is_accepted(self, ratings_file, capsys):
+        assert run(["ingest", ratings_file, "--seed", 4]) == EXIT_OK
+        assert "rows: 30" in capsys.readouterr().out
+
 
 class TestConfigAndEnv:
     def test_env_seed(self, tmp_path, monkeypatch):

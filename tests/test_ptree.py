@@ -3,6 +3,7 @@ import hashlib
 import math
 import pickle
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -503,6 +504,40 @@ class TestInvariants:
                     first = (start << levels) - cap
                     assert np.all((idx >= first) & (idx < first + (1 << levels)))
                     assert np.all(vt.leaf_magnitudes[idx] > 0.0)
+
+
+def traced_peak(build):
+    """Run ``build()``; return its result and the peak bytes it allocated."""
+    tracemalloc.start()
+    try:
+        result = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestBuildMemory:
+    """A build holds the caller's input, the node array and the int8 signs;
+    no n-sized float64 copy of the input sits beside the heap."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_vector_build_peaks_at_what_it_keeps(self, p):
+        n = 1 << 20
+        x = stream(93, 0).normal(size=n)
+        tree, peak = traced_peak(lambda: build_vector_tree(x, p))
+        kept = tree._nodes.nbytes + tree._signs.nbytes
+        assert peak <= kept + n + 256 * 1024
+
+    def test_matrix_build_peak(self):
+        A = stream(93, 1).normal(size=(1000, 64))
+        _, peak = traced_peak(lambda: build_matrix_tree(A, 1.5))
+        assert peak < 1.5 * 2**20
+
+    def test_audit_peak(self):
+        tree = build_vector_tree(stream(93, 2).normal(size=1 << 20), 1.5)
+        _, peak = traced_peak(tree.audit)
+        assert peak < 16 * 2**20
 
 
 class TestSerialization:
