@@ -359,7 +359,7 @@ def mp_curve(
     tables = [(w, _trial_table(spec, spec, m, w, p_grid, trials, seed)[0]) for w in np.atleast_1d(n).tolist()]
     return [
         MpCurvePoint(p, w, m, trials, float(table[k].mean()), _stderr(table[k]),
-                     profiles and theoretical_mp(profiles[k], w))
+                     None if profiles is None else theoretical_mp(profiles[k], w))
         for w, table in tables
         for k, p in enumerate(p_grid)
     ]

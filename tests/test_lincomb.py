@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import lpsample.lincomb as lincomb
 from lpsample.lincomb import (
     CombinationSampler,
     NonTerminationError,
@@ -15,7 +16,7 @@ from lpsample.lincomb import (
     theoretical_mp,
 )
 from lpsample.ptree import EmptyDistributionError, build_matrix_tree
-from lpsample.randkit import exponential, moment_profile, normal, stream, uniform
+from lpsample.randkit import exponential, laplace, moment_profile, normal, stream, uniform
 
 from oracles import combination_distribution, exact_m_one_p, tv_distance
 
@@ -294,6 +295,21 @@ class TestTheory:
         m1, m2 = mp_curve(16, 8, normal(0, 1), [1.0, 2.0], 12, seed=5)
         assert (m1.mean_m, m1.stderr_m) == (rep.m1.exact, rep.m1.stderr)
         assert (m2.mean_m, m2.stderr_m) == (rep.m2.exact, rep.m2.stderr)
+
+    def test_mp_curve_over_widths_profiles_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return moment_profile(*args, **kwargs)
+
+        monkeypatch.setattr(lincomb, "moment_profile", counted)
+        both = mp_curve(16, [4, 8], laplace(0, 1), [1.0, 1.5], 5, seed=3)
+        assert len(calls) == 1
+        assert both == mp_curve(16, 4, laplace(0, 1), [1.0, 1.5], 5, seed=3) + mp_curve(
+            16, 8, laplace(0, 1), [1.0, 1.5], 5, seed=3
+        )
+        assert [(pt.n, pt.p) for pt in both] == [(4, 1.0), (4, 1.5), (8, 1.0), (8, 1.5)]
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError, match="trials"):
