@@ -360,9 +360,10 @@ def cmd_inner_product(args) -> dict[Path, str]:
         rng = stream(args.seed, 1_000_000_000)
         for k, (a, b) in enumerate(_eligible_pairs(matrix, args.pairs, args.min_overlap, rng)):
             x, y = matrix.dense_rows([a, b])
-            tree = WeightedVectorTree(x, args.p)
+            support = np.flatnonzero(x)  # the tree needs only row a's support: zeros are never drawn
             report = estimate_inner_product(
-                tree, y, args.epsilon, args.delta, stream(args.seed, k), compute_scale=False
+                WeightedVectorTree(x[support], args.p), y[support], args.epsilon, args.delta,
+                stream(args.seed, k), compute_scale=False,
             )
             scale1 = error_scale(x, y, 1.0)
             scale2 = error_scale(x, y, 2.0)

@@ -390,11 +390,9 @@ class WeightedVectorTree:
 
     def to_bytes(self) -> bytes:
         """Flat layout: p (f64), n (u64), n sign bytes, n leaf magnitudes (f64)."""
-        return (
-            self._HEADER.pack(self._p, self._n)
-            + self._signs.tobytes()
-            + self.leaf_magnitudes.astype("<f8").tobytes()
-        )
+        header = self._HEADER.pack(self._p, self._n)
+        # one join over the arrays' buffers, so the output is the only full-size allocation
+        return b"".join((header, self._signs, self.leaf_magnitudes.astype("<f8", copy=False)))
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "WeightedVectorTree":

@@ -8,15 +8,21 @@ Two on-disk formats are accepted:
 * ``csv-coo``: a ``m,n`` header line followed by 1-based ``row,col,value``
   lines; ``#`` comments and blank lines are skipped.
 
-The entry lines of either format are parsed by one ``np.loadtxt`` call, and
-row range, column range and finiteness are each checked once over the parsed
-arrays. Only when the parse or a check fails does a locator walk the lines to
-name the first bad one. Duplicate coordinates are summed on load, and entries
-come out sorted row-major, so a row is one contiguous slice (``indptr``).
+Only the header lines are read as text. The entry lines of either format
+are parsed by one ``np.loadtxt`` call that reads the file in chunks, so no
+per-line strings are made, and row range, column range and finiteness are
+each checked once over the parsed arrays. Only a file that this parse or a
+check rejects is re-read as lines (``str.splitlines``), where a locator walks
+them to name the first bad one. A file holding a character that
+``str.splitlines`` ends a line at but universal newlines do not (``\\v``,
+``\\f``, ...) is read as lines too, so both reads split it alike. Duplicate
+coordinates are summed on load, and entries come out sorted row-major, so a
+row is one contiguous slice (``indptr``).
 """
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -91,21 +97,57 @@ class SparseMatrix:
         return np.flatnonzero(np.bincount(self.rows[self.vals != 0.0], minlength=self.m))
 
 
-def _to_matrix(m: int, n: int, table: np.ndarray) -> SparseMatrix:
-    """0-based entries sorted row-major, duplicates summed in file order."""
-    flat = (table["i"] - 1) * n + (table["j"] - 1)
+def _sorted_entries(n: int, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """0-based rows, columns and values sorted row-major, duplicates summed in file order.
+
+    A table already strictly increasing row-major, as a file written row by
+    row is, skips the sort, and then ``flat`` is the one full-size temporary
+    besides the output.
+    """
+    rows, cols = table["i"] - 1, table["j"] - 1
+    flat = rows * n
+    flat += cols
+    if not np.any(flat[1:] <= flat[:-1]):
+        del flat
+        return rows, cols, table["v"].copy()
+    del rows, cols
     order = np.argsort(flat, kind="stable")
     flat = flat[order]
-    starts = np.flatnonzero(np.diff(flat, prepend=-1))
-    vals = np.add.reduceat(table["v"][order], starts) if flat.size else table["v"]
-    flat = flat[starts]
-    return SparseMatrix(m, n, flat // n, flat % n, vals)
+    vals = table["v"][order]
+    del order
+    distinct = np.empty(flat.size, dtype=bool)  # True where a run of equal coordinates starts
+    distinct[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=distinct[1:])
+    if not distinct.all():
+        starts = np.flatnonzero(distinct)
+        vals = np.add.reduceat(vals, starts)
+        flat = flat[starts]
+    del distinct
+    return *np.divmod(flat, n), vals
 
 
-def _loadtxt(body, comment: str, sep: str | None) -> np.ndarray:
+def _loadtxt(body, comment: str, sep: str | None, skiprows: int = 0) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # a body without entries is no error
-        return np.loadtxt(body, dtype=_TRIPLET, comments=comment, delimiter=sep, ndmin=1)
+        return np.loadtxt(body, dtype=_TRIPLET, comments=comment, delimiter=sep, skiprows=skiprows,
+                          encoding="utf-8", ndmin=1)
+
+
+def _first_bad(table, m: int, n: int) -> tuple[int, str] | None:
+    """Index of the first entry out of range or non-finite and what is wrong with it, or None."""
+    i, j, v = table["i"], table["j"], table["v"]
+    if not i.size or (1 <= i.min() and i.max() <= m and 1 <= j.min() and j.max() <= n
+                      and np.isfinite(v).all()):
+        return None
+    rows = (i < 1) | (i > m)
+    cols = (j < 1) | (j > n)
+    k = int(np.argmax(rows | cols | ~np.isfinite(v)))
+    i, j, _ = table[k]
+    if rows[k]:
+        return k, f"row index {i} outside 1..{m}"
+    if cols[k]:
+        return k, f"column index {j} outside 1..{n}"
+    return k, "non-finite value"
 
 
 def _entry_line(body, comment: str, k: int) -> int:
@@ -115,22 +157,10 @@ def _entry_line(body, comment: str, k: int) -> int:
 
 def _check(table, body, first: int, comment: str, m: int, n: int) -> None:
     """Check every parsed entry at once; on failure name the first bad line."""
-    checks = (
-        (table["i"] < 1) | (table["i"] > m),
-        (table["j"] < 1) | (table["j"] > n),
-        ~np.isfinite(table["v"]),
-    )
-    bad = checks[0] | checks[1] | checks[2]
-    if not bad.any():
-        return
-    k = int(np.argmax(bad))
-    i, j, _ = table[k]
-    at = f"line {first + _entry_line(body, comment, k) + 1}"
-    if checks[0][k]:
-        raise SparseFormatError(f"{at}: row index {i} outside 1..{m}")
-    if checks[1][k]:
-        raise SparseFormatError(f"{at}: column index {j} outside 1..{n}")
-    raise SparseFormatError(f"{at}: non-finite value")
+    found = _first_bad(table, m, n)
+    if found is not None:
+        k, what = found
+        raise SparseFormatError(f"line {first + _entry_line(body, comment, k) + 1}: {what}")
 
 
 def _raise_first_rejected(body, first: int, comment: str, sep: str | None, m: int, n: int) -> NoReturn:
@@ -165,31 +195,38 @@ def _parse_entries(lines, first: int, comment: str, sep: str | None, m: int, n: 
     return table
 
 
-def _load_matrix_market(lines) -> SparseMatrix:
-    header = None
-    body_start = 0
-    for k, line in enumerate(lines):
-        if line.strip():
-            header = line.strip()
-            body_start = k + 1
-            break
-    if header is None or not header.startswith("%%MatrixMarket"):
+# format: (comment character, field separator; None splits on whitespace)
+_SYNTAX = {"matrix-market": ("%", None), "csv-coo": ("#", ",")}
+
+
+def _read_header(lines, fmt: str) -> tuple[str, int, int, int | None, int]:
+    """Read a header from the iterator ``lines``, taking no line past it.
+
+    Returns the format, ``m``, ``n``, the promised entry count (None for
+    csv-coo) and the number of lines read, after which the entries start.
+    """
+    numbered = ((k, line.strip()) for k, line in enumerate(lines, start=1))
+    lineno, header = next(((k, text) for k, text in numbered if text), (0, ""))
+    if fmt == "auto":
+        fmt = "matrix-market" if header.startswith("%%MatrixMarket") else "csv-coo"
+    if fmt == "matrix-market":
+        return (fmt, *_matrix_market_header(header, numbered))
+    if fmt == "csv-coo":
+        while header.startswith("#"):
+            lineno, header = next(((k, text) for k, text in numbered if text), (lineno, ""))
+        return (fmt, *_csv_coo_header(lineno, header))
+    raise ValueError(f"unknown format {fmt!r}")
+
+
+def _matrix_market_header(header: str, numbered) -> tuple[int, int, int, int]:
+    if not header.startswith("%%MatrixMarket"):
         raise SparseFormatError("line 1: missing %%MatrixMarket header")
     fields = header.lower().split()
     if len(fields) < 5 or fields[1] != "matrix" or fields[2] != "coordinate":
         raise SparseFormatError("line 1: only 'matrix coordinate' files are supported")
     if fields[3] not in ("real", "integer") or fields[4] != "general":
         raise SparseFormatError("line 1: only 'real general' or 'integer general' supported")
-
-    size_line = None
-    entries_start = 0
-    for k in range(body_start, len(lines)):
-        stripped = lines[k].strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        size_line = (k + 1, stripped)
-        entries_start = k + 1
-        break
+    size_line = next(((k, text) for k, text in numbered if text and not text.startswith("%")), None)
     if size_line is None:
         raise SparseFormatError("truncated file: no size line")
     lineno, text = size_line
@@ -202,43 +239,78 @@ def _load_matrix_market(lines) -> SparseMatrix:
         raise SparseFormatError(f"line {lineno}: non-integer size field") from None
     if m < 1 or n < 1 or nnz < 0:
         raise SparseFormatError(f"line {lineno}: sizes must be positive")
+    return m, n, nnz, lineno
 
-    table = _parse_entries(lines, entries_start, "%", None, m, n)
-    if table.size != nnz:
+
+def _csv_coo_header(lineno: int, header: str) -> tuple[int, int, None, int]:
+    if not header:
+        raise SparseFormatError("truncated file: no dimension header")
+    parts = header.split(",")
+    if len(parts) != 2:
+        raise SparseFormatError(f"line {lineno}: expected the 'm,n' header line")
+    try:
+        m, n = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise SparseFormatError(f"line {lineno}: non-integer dimension") from None
+    if m < 1 or n < 1:
+        raise SparseFormatError(f"line {lineno}: dimensions must be positive")
+    return m, n, None, lineno
+
+
+# np.loadtxt decompresses a path with these suffixes
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+# str.splitlines ends a line at these too, where the chunked reader's universal newlines do not
+_OTHER_LINE_BREAKS = tuple(c.encode() for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def _has_other_line_breaks(path) -> bool:
+    with open(path, "rb") as handle:
+        tail = b""
+        while chunk := handle.read(1 << 16):
+            window = tail + chunk  # a multi-byte break may straddle two reads
+            # a one-byte search first: a multi-byte one is some 50 times slower
+            if any(brk[:1] in window and brk in window for brk in _OTHER_LINE_BREAKS):
+                return True
+            tail = chunk[-2:]
+    return False
+
+
+def _load_chunked(path, fmt: str) -> SparseMatrix | None:
+    """The matrix, with the entries read by loadtxt from the path in chunks, or
+    None when the file needs the line path to be accepted or to name its error."""
+    if _has_other_line_breaks(path):
+        return None
+    path = os.path.abspath(path)  # np.loadtxt would read a relative "http://..." as a URL
+    if path.endswith(_COMPRESSED):
+        return None
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            fmt, m, n, nnz, first = _read_header(handle, fmt)
+        table = _loadtxt(path, *_SYNTAX[fmt], skiprows=first)
+    except ValueError:
+        return None
+    if _first_bad(table, m, n) is not None or (nnz is not None and table.size != nnz):
+        return None
+    rows, cols, vals = _sorted_entries(n, table)
+    del table  # so that SparseMatrix checks the output without the table beside it
+    return SparseMatrix(m, n, rows, cols, vals)
+
+
+def _load_lines(path, fmt: str) -> SparseMatrix:
+    """The matrix, read as lines; names the first bad line of a rejected file."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    fmt, m, n, nnz, first = _read_header(iter(lines), fmt)
+    table = _parse_entries(lines, first, *_SYNTAX[fmt], m, n)
+    if nnz is not None and table.size != nnz:
         raise SparseFormatError(f"truncated file: header promised {nnz} entries, found {table.size}")
-    return _to_matrix(m, n, table)
-
-
-def _load_csv_coo(lines) -> SparseMatrix:
-    for k, raw in enumerate(lines):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split(",")
-        if len(parts) != 2:
-            raise SparseFormatError(f"line {k + 1}: expected the 'm,n' header line")
-        try:
-            m, n = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise SparseFormatError(f"line {k + 1}: non-integer dimension") from None
-        if m < 1 or n < 1:
-            raise SparseFormatError(f"line {k + 1}: dimensions must be positive")
-        return _to_matrix(m, n, _parse_entries(lines, k + 1, "#", ",", m, n))
-    raise SparseFormatError("truncated file: no dimension header")
+    return SparseMatrix(m, n, *_sorted_entries(n, table))
 
 
 def load_matrix(path, fmt: str = "auto") -> SparseMatrix:
     """Load a sparse matrix file, summing duplicate coordinates."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if fmt == "auto":
-        first = next((ln.strip() for ln in lines if ln.strip()), "")
-        fmt = "matrix-market" if first.startswith("%%MatrixMarket") else "csv-coo"
-    if fmt == "matrix-market":
-        return _load_matrix_market(lines)
-    if fmt == "csv-coo":
-        return _load_csv_coo(lines)
-    raise ValueError(f"unknown format {fmt!r}")
+    matrix = _load_chunked(path, fmt)
+    return matrix if matrix is not None else _load_lines(path, fmt)
 
 
 def synthetic_sparse(

@@ -551,6 +551,12 @@ class TestSerialization:
         )
         assert tree.to_bytes() == expected
 
+    def test_to_bytes_peaks_at_its_output(self):
+        tree = build_vector_tree(stream(21, 1).normal(size=1 << 20), 1.5)
+        out, peak = traced_peak(tree.to_bytes)
+        assert len(out) == 16 + 9 * (1 << 20)
+        assert peak <= 1.2 * len(out)  # concatenating the parts held 2x
+
     def test_round_trip(self):
         rng = stream(21, 0)
         values = rng.normal(0, 2, 11)

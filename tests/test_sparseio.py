@@ -105,6 +105,12 @@ class TestMatrixMarket:
         path = write(tmp_path, "a.mtx", self.HEADER + "2 2 2\n1\t2\t7\n  2   1 3 % trailing\n")
         assert to_dense(load_matrix(path)).tolist() == [[0.0, 7.0], [3.0, 0.0]]
 
+    @pytest.mark.parametrize("name", ["a.mtx.gz", "a.bz2", "a.xz", "a.lzma"])
+    def test_a_compression_suffix_is_only_a_name(self, tmp_path, name):
+        # np.loadtxt decompresses a path by its suffix; the loader reads every file as text
+        path = write(tmp_path, name, self.HEADER + "2 2 1\n2 1 3\n")
+        assert to_dense(load_matrix(path)).tolist() == [[0.0, 0.0], [3.0, 0.0]]
+
 
 # -- error location --------------------------------------------------------------
 
@@ -233,6 +239,99 @@ def test_error_line_agrees_with_per_line_oracle(tmp_path_factory, case, data):
     with pytest.raises(SparseFormatError) as got:
         load_matrix(path, fmt)
     assert str(got.value).split(":")[0] == str(expected.value).split(":")[0] == f"line {at + 1}"
+
+
+# -- files only the line path reads right ---------------------------------------------
+
+def assert_agrees_with_oracle(path, fmt, first, comment, sep, m, n):
+    """load_matrix gives the oracle's table, or an error naming the oracle's line."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        triplets = sorted(parse_entry_lines(lines, first, comment, sep, m, n))
+    except ValueError as expected:
+        with pytest.raises(SparseFormatError) as got:
+            load_matrix(path, fmt)
+        assert str(got.value).split(":")[0] == str(expected).split(":")[0]
+        return
+    matrix = load_matrix(path, fmt)
+    assert len({(i, j) for i, j, _ in triplets}) == len(triplets)  # so the table is exact
+    assert (matrix.m, matrix.n) == (m, n)
+    assert matrix.rows.tolist() == [i for i, _, _ in triplets]
+    assert matrix.cols.tolist() == [j for _, j, _ in triplets]
+    assert matrix.vals.tobytes() == np.array([v for _, _, v in triplets]).tobytes()
+
+
+MM_HEADER = "%%MatrixMarket matrix coordinate real general"
+
+# (format, text, lines before the entries, m, n): each holds what loadtxt reads
+# from a path otherwise than str.splitlines splits it
+LINE_PATH_CASES = {
+    "csv-blank-lines-crlf": ("csv-coo", "3,4\r\n1,1,2.5\r\n   \r\n2,3,-1\r\n\t\r\n  \r\n3,4,0.5\r\n", 1, 3, 4),
+    "csv-blank-lines-cr": ("csv-coo", "# r\r3,4\r \r1,2,7\r\t\r", 2, 3, 4),
+    "mm-formfeed-splits-an-entry": ("matrix-market", f"{MM_HEADER}\n3 4 1\n1 1\f1\n", 2, 3, 4),
+    "mm-formfeed-ends-an-entry": ("matrix-market", f"{MM_HEADER}\n3 4 2\n1 2 3\f\n2 1 4\n", 2, 3, 4),
+    "mm-line-separator-in-an-entry": ("matrix-market", f"{MM_HEADER}\n3 4 1\n1\u2028 2 3\n", 2, 3, 4),
+    "csv-formfeed-splits-two-entries": ("csv-coo", "3,4\n1,2,3\f2,1,4\n", 1, 3, 4),
+    "csv-next-line-splits-an-entry": ("csv-coo", "3,4\n1,2\x85,3\n", 1, 3, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LINE_PATH_CASES))
+def test_line_path_cases_agree_with_oracle(case, tmp_path):
+    fmt, text, first, m, n = LINE_PATH_CASES[case]
+    path = tmp_path / "m.txt"
+    path.write_bytes(text.encode("utf-8"))
+    comment, sep = ("%", None) if fmt == "matrix-market" else ("#", ",")
+    assert_agrees_with_oracle(path, fmt, first, comment, sep, m, n)
+
+
+@pytest.mark.parametrize("fmt,sep", [("matrix-market", " "), ("csv-coo", ",")])
+@pytest.mark.parametrize("bad", ["1{s}x{s}1", "1{s}1", "9{s}1{s}1", "1{s}1{s}nan"])
+def test_bad_entry_after_ten_thousand_good_lines_is_named(fmt, sep, bad, tmp_path):
+    good = [f"{k % 3 + 1}{sep}{k % 4 + 1}{sep}{k}.25" for k in range(10_000)]
+    entries = good + [bad.format(s=sep)] + good[:5]
+    header = [MM_HEADER, f"3 4 {len(entries)}"] if fmt == "matrix-market" else ["3,4"]
+    path = tmp_path / "m.txt"
+    path.write_text("\n".join(header + entries) + "\n")
+    comment = "%" if fmt == "matrix-market" else "#"
+    with pytest.raises(SparseFormatError, match=f"^line {len(header) + 10_001}: "):
+        load_matrix(path, fmt)
+    assert_agrees_with_oracle(path, fmt, len(header), comment, sep.strip() or None, 3, 4)
+
+
+# -- memory ----------------------------------------------------------------------------
+
+def ratings_file(path, fmt, shuffled):
+    """About 10^5 entries of a 2000 x 1000 matrix, row by row, or shuffled with one in
+    ten repeated; returns the number of entry lines."""
+    rng = np.random.default_rng(5)
+    m, n = 2000, 1000
+    flat = np.sort(rng.choice(m * n, 100_000, replace=False))
+    if shuffled:
+        flat = rng.permutation(np.concatenate([flat, rng.choice(flat, 10_000)]))
+    vals = rng.integers(1, 10, flat.size) / 2
+    rows, cols = flat // n + 1, flat % n + 1
+    if fmt == "matrix-market":
+        lines = [MM_HEADER, f"{m} {n} {flat.size}"] + [f"{i} {j} {v}" for i, j, v in zip(rows, cols, vals)]
+    else:
+        lines = [f"{m},{n}"] + [f"{i},{j},{v}" for i, j, v in zip(rows, cols, vals)]
+    path.write_text("\n".join(lines) + "\n")
+    return flat.size
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+@pytest.mark.parametrize("fmt", ["matrix-market", "csv-coo"])
+def test_load_peaks_within_three_triplet_tables(fmt, shuffled, tmp_path):
+    path = tmp_path / "m.txt"
+    entries = ratings_file(path, fmt, shuffled)
+    tracemalloc.start()
+    try:
+        matrix = load_matrix(path, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.nnz == 100_000
+    assert peak <= 3 * 24 * entries + 2**20  # the line path held 6 tables' worth
 
 
 # -- CSR rows -----------------------------------------------------------------------
