@@ -15,9 +15,10 @@ each checked once over the parsed arrays. Only a file that this parse or a
 check rejects is re-read as lines (``str.splitlines``), where a locator walks
 them to name the first bad one. A file holding a character that
 ``str.splitlines`` ends a line at but universal newlines do not (``\\v``,
-``\\f``, ...) is read as lines too, so both reads split it alike. Duplicate
-coordinates are summed on load, and entries come out sorted row-major, so a
-row is one contiguous slice (``indptr``).
+``\\f``, ...) is read as lines too, so both reads split it alike, and so is
+a path that is not a regular file (a pipe or a FIFO), which can be read only
+once. Duplicate coordinates are summed on load, and entries come out sorted
+row-major, so a row is one contiguous slice (``indptr``).
 """
 
 from __future__ import annotations
@@ -135,13 +136,13 @@ def _loadtxt(body, comment: str, sep: str | None, skiprows: int = 0) -> np.ndarr
 
 def _first_bad(table, m: int, n: int) -> tuple[int, str] | None:
     """Index of the first entry out of range or non-finite and what is wrong with it, or None."""
-    i, j, v = table["i"], table["j"], table["v"]
-    if not i.size or (1 <= i.min() and i.max() <= m and 1 <= j.min() and j.max() <= n
-                      and np.isfinite(v).all()):
-        return None
+    i, j = table["i"], table["j"]
     rows = (i < 1) | (i > m)
     cols = (j < 1) | (j > n)
-    k = int(np.argmax(rows | cols | ~np.isfinite(v)))
+    bad = rows | cols | ~np.isfinite(table["v"])
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
     i, j, _ = table[k]
     if rows[k]:
         return k, f"row index {i} outside 1..{m}"
@@ -277,8 +278,11 @@ def _has_other_line_breaks(path) -> bool:
 
 def _load_chunked(path, fmt: str) -> SparseMatrix | None:
     """The matrix, with the entries read by loadtxt from the path in chunks, or
-    None when the file needs the line path to be accepted or to name its error."""
-    if _has_other_line_breaks(path):
+    None when the file needs the line path to be accepted or to name its error.
+
+    Only a regular file is read this way: it is opened more than once, and a
+    pipe or FIFO would be drained by the first read."""
+    if not os.path.isfile(path) or _has_other_line_breaks(path):
         return None
     path = os.path.abspath(path)  # np.loadtxt would read a relative "http://..." as a URL
     if path.endswith(_COMPRESSED):

@@ -1,4 +1,6 @@
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -110,6 +112,27 @@ class TestMatrixMarket:
         # np.loadtxt decompresses a path by its suffix; the loader reads every file as text
         path = write(tmp_path, name, self.HEADER + "2 2 1\n2 1 3\n")
         assert to_dense(load_matrix(path)).tolist() == [[0.0, 0.0], [3.0, 0.0]]
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("2,2\n1,2,7\n2,1,3\n", [[0.0, 7.0], [3.0, 0.0]]),
+    (TestMatrixMarket.HEADER + "2 2 2\n1 2 7\n2 1 3\n", [[0.0, 7.0], [3.0, 0.0]]),
+    ("2,2\n1,2,7\n5,1,3\n", "line 3: row index 5 outside 1..2"),
+])
+def test_a_pipe_is_read_once(text, expected):
+    # a pipe can be read only once, as `lpsample ingest /dev/stdin < m.mtx` reads it
+    read_end, write_end = os.pipe()
+    writer = threading.Thread(target=lambda: (os.write(write_end, text.encode()), os.close(write_end)))
+    writer.start()
+    try:
+        if isinstance(expected, str):
+            with pytest.raises(SparseFormatError, match=re.escape(expected)):
+                load_matrix(f"/dev/fd/{read_end}")
+        else:
+            assert to_dense(load_matrix(f"/dev/fd/{read_end}")).tolist() == expected
+    finally:
+        writer.join()
+        os.close(read_end)
 
 
 # -- error location --------------------------------------------------------------
