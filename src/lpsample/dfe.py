@@ -31,6 +31,7 @@ l and the measurement count are, up to int64 counts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -176,13 +177,15 @@ def z_upper_bound(n: int) -> float:
 # -- label classes ----------------------------------------------------------------
 
 
+@functools.cache
 def _label_classes(target: TargetState) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(rep_x, rep_z, count, chi)`` of the classes of labels with nonzero chi.
 
     Every label in a class has the class's chi and is the identity exactly when
     the representative is. W: Z weight k with no X bits (k = 0..n), plus two X
     bits with even X/Z overlap. GHZ: X part empty or full times even Z weight.
-    Representatives set the lowest bits; counts are floats.
+    Representatives set the lowest bits; counts are floats.  Built once per
+    target and shared, so the arrays are read-only.
     """
     n = target.n
     if n > _MAX_SIM_QUBITS:
@@ -200,7 +203,10 @@ def _label_classes(target: TargetState) -> tuple[np.ndarray, np.ndarray, np.ndar
         count = np.tile(combs[::2], 2)
     chi = target.characteristic(x, z)
     keep = chi != 0.0
-    return x[keep], z[keep], count[keep], chi[keep]
+    classes = x[keep], z[keep], count[keep], chi[keep]
+    for array in classes:
+        array.flags.writeable = False
+    return classes
 
 
 def _class_weights(count: np.ndarray, chi: np.ndarray, norm: str) -> np.ndarray:

@@ -3,12 +3,14 @@
 A vector tree stores ``|x_i|**p`` at its leaves together with ``sign(x_i)``,
 and every internal node holds the sum of its two children, so the root equals
 ``sum_i |x_i|**p``; the nodes form a 1-based heap (root 1, children ``2v`` and
-``2v + 1``, slot 0 unused).  Sampling an index with probability
-``|x_i|**p / root``, updating one entry, and reading an entry or the root are
-all O(log n); these scalar operations walk a memoryview of the node buffer, on
-Python floats, and an update recomputes each ancestor from its two children
-with one read a level.  A build holds the caller's input, the node array and
-the int8 signs: it writes both straight into the leaf slots, then sums each level.
+``2v + 1``), except that the level above the leaves is not stored: a node there
+reads as the sum of its two leaves, the bits a stored node would hold.
+Sampling an index with probability ``|x_i|**p / root``, updating one entry, and
+reading an entry or the root are all O(log n); these scalar operations walk a
+memoryview of the node buffer, on Python floats, and an update recomputes each
+stored ancestor from its children.  A build holds the caller's input, the node
+array and the int8 signs: it writes both straight into the leaf slots, then
+sums each stored level in fixed-size blocks.
 Every draw, scalar or batched, is one inverse-CDF descent of one uniform, so a
 stream gives the same indices one at a time as in a batch.
 
@@ -104,17 +106,33 @@ def _apart(like: np.ndarray) -> np.ndarray:
     return buf[shift : shift + like.size]
 
 
+_BLOCK = 1 << 11  # nodes a rebuild or audit pass sums at once: 16 KiB rows
+
+
+def _go_right(u: np.ndarray, left: np.ndarray, go_right: np.ndarray) -> np.ndarray:
+    """One descent level: set ``go_right`` where ``u >= left`` and take ``left`` from ``u`` there."""
+    np.greater_equal(u, left, out=go_right)
+    # u - left where going right, u - 0.0 (exactly u) elsewhere; a
+    # masked subtract (where=) is several times slower
+    np.multiply(left, go_right, out=left)
+    u -= left
+    return go_right
+
+
 class WeightedVectorTree:
     """Complete binary tree over ``|x_i|**p`` with signs, padded to a power of two.
 
-    Entry indices are 0-based.  ``_nodes`` is a 1-based heap of
-    ``2 * capacity`` slots: slot 0 is unused and zero, the root is slot 1,
-    node v has children ``2v`` and ``2v + 1``, and entry i's leaf is slot
+    Entry indices are 0-based and heap nodes 1-based: the root is node 1,
+    node v has children ``2v`` and ``2v + 1``, and entry i's leaf is node
     ``capacity + i``; padding leaves are zero and can never be sampled.
+    ``_nodes`` holds nodes ``0 .. _leaf0 - 1`` (slot 0 unused and zero), then
+    the leaves.  ``_leaf0`` is ``capacity // 2``, leaving out the level above
+    the leaves (12 bytes of nodes and a sign byte a leaf slot), unless that
+    level is the root (capacity 1 or 2, ``_leaf0 = capacity``).
     ``last_op_visits`` counts the nodes the last sample or update touched.
     """
 
-    __slots__ = ("_p", "_n", "_capacity", "_depth", "_nodes", "_view", "_signs", "last_op_visits")
+    __slots__ = ("_p", "_n", "_capacity", "_leaf0", "_depth", "_nodes", "_view", "_signs", "last_op_visits")
 
     def __init__(self, values, p: float):
         values = np.asarray(values, dtype=np.float64)
@@ -146,13 +164,14 @@ class WeightedVectorTree:
         return tree
 
     def _init_storage(self, n: int, p: float) -> None:
-        """Allocate a zeroed heap and signs for n entries; :meth:`_fill` writes them."""
+        """Allocate zeroed nodes and signs for n entries; :meth:`_fill` writes them."""
         capacity = _capacity_for(n)
         self._p = p
         self._n = n
         self._capacity = capacity
+        self._leaf0 = capacity // 2 if capacity >= 4 else capacity
         self._depth = capacity.bit_length() - 1
-        self._nodes = np.zeros(2 * capacity, dtype=np.float64)
+        self._nodes = np.zeros(self._leaf0 + capacity, dtype=np.float64)
         self._view = memoryview(self._nodes)  # shares _nodes' buffer; reads give floats
         self._signs = np.empty(n, dtype=np.int8)
         self.last_op_visits = 0
@@ -166,12 +185,14 @@ class WeightedVectorTree:
         if signs is not None:
             leaves[...], self._signs[...] = values, signs
         else:
-            # sign(-0.0) is -0.0 in numpy, which casts to int8 zero as required
-            np.sign(values, out=self._signs, casting="unsafe")
+            # sign(-0.0) casts to int8 zero; in blocks, as a cast buffers 64 KiB a call
+            for a in range(0, values.size, _BLOCK):
+                np.sign(values[a : a + _BLOCK], out=self._signs[a : a + _BLOCK], casting="unsafe")
             if math.isinf(_magnitudes(values, self._p, out=leaves).max()):
                 raise ValueError("|value|**p overflows for some entry")
-            # |value|**p can underflow to zero; such entries carry zero weight
-            self._signs[leaves == 0.0] = 0
+            # |value|**p can underflow to zero (never at p = 1); such entries carry zero weight
+            if self._p != 1.0 and np.count_nonzero(leaves) != np.count_nonzero(self._signs):
+                self._signs[leaves == 0.0] = 0
         self.rebuild()
 
     # -- read access ---------------------------------------------------------
@@ -186,7 +207,7 @@ class WeightedVectorTree:
     @property
     def leaf_magnitudes(self) -> np.ndarray:
         """View of the n leaf values ``|x_i|**p`` (do not mutate)."""
-        return self._nodes[self._capacity : self._capacity + self._n]
+        return self._nodes[self._leaf0 : self._leaf0 + self._n]
 
     @property
     def leaf_signs(self) -> np.ndarray:
@@ -197,13 +218,29 @@ class WeightedVectorTree:
         """Root value, equal to the p-th power of the p-norm of the vector."""
         return self._view[1]
 
+    def _node(self, v: int) -> float:
+        """Value of heap node v: stored, a leaf, or (on the level not stored) its leaf pair's sum."""
+        if v < self._leaf0:
+            return self._view[v]
+        if v >= self._capacity:
+            return self._view[v - self._capacity + self._leaf0]
+        return self._node(2 * v) + self._node(2 * v + 1)
+
+    def _node_values(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`_node` of heap nodes ``v``, all on one level, into ``out`` or a new array."""
+        if v.size and v[0] >= self._capacity:
+            return np.take(self._nodes[self._leaf0 :], v - self._capacity, out=out, mode="clip")
+        if v.size and v[0] >= self._leaf0:
+            return np.add(self._node_values(2 * v), self._node_values(2 * v + 1), out=out)
+        return np.take(self._nodes, v, out=out, mode="clip")
+
     def query_entry(self, i: int) -> float:
         """Signed entry ``sign_i * magnitude_i**(1/p)``."""
         _check_index(i, self._n)
         return self._entry(i)
 
     def _entry(self, i: int) -> float:
-        leaf = self._capacity + i
+        leaf = self._leaf0 + i
         mag = self._view[leaf]
         s = int(self._signs[i])
         if self._p == 1.0:
@@ -235,7 +272,7 @@ class WeightedVectorTree:
         """
         if self._view[1] <= 0.0:
             raise EmptyDistributionError("all entries are zero")
-        index = self._descend(rng, 1, self._depth)
+        index = self._descend(rng, 1, self._depth, self._view[1])
         self.last_op_visits = self._depth + 1
         return index
 
@@ -250,26 +287,38 @@ class WeightedVectorTree:
             raise EmptyDistributionError("all entries are zero")
         return self._descend_many(rng, np.ones(size, dtype=np.int64), self._depth)
 
-    def _descend(self, rng: np.random.Generator, start: int, levels: int) -> int:
+    def _descend(self, rng: np.random.Generator, start: int, levels: int, weight: float) -> int:
         """Draw one leaf ``levels`` levels below ``start``; return its entry index.
 
         The scalar form of :meth:`_descend_many`, on Python floats: the same
         uniform, comparisons and subtractions, so a draw that lands on a zero
         leaf is made again at once rather than at the end of a batch.  The
-        caller checks that ``start`` has weight.
+        caller passes the ``weight`` of ``start``, checked to be positive.
         """
         nodes = self._view
+        shift = self._capacity - self._leaf0  # heap leaf v is slot v - shift
         while True:
             node = start
-            u = rng.random() * nodes[start]
-            for _ in range(levels):
+            u = rng.random() * weight
+            for _ in range(levels - 2):
                 node += node  # the left child
                 left = nodes[node]
                 if u >= left:
                     u -= left
                     node += 1
-            if nodes[node] != 0.0:
-                return node - self._capacity
+            leaf = (node << (2 if levels >= 2 else levels)) - shift  # the first leaf below
+            if levels >= 2:  # the level not stored: the left child is a leaf pair
+                left = nodes[leaf] + nodes[leaf + 1]
+                if u >= left:
+                    u -= left
+                    leaf += 2
+            if levels:
+                left = nodes[leaf]
+                if u >= left:
+                    u -= left
+                    leaf += 1
+            if nodes[leaf] != 0.0:
+                return leaf - self._leaf0
 
     def _descend_many(self, rng: np.random.Generator, start: np.ndarray, levels: int) -> np.ndarray:
         """Draw one leaf ``levels`` levels below each node in ``start``; return entry indices.
@@ -281,34 +330,39 @@ class WeightedVectorTree:
         carry a draw past its subtree's total into a zero leaf; such draws
         are made again, in draw order.  :meth:`_descend` follows the same
         rule one draw at a time.  The caller checks that every start node has
-        weight, and hands over ``start``, which is walked in place.
+        weight, and hands over ``start`` (heap nodes on one level), which is
+        walked in place.  The last two levels read the leaves.
 
         ``mode="clip"`` skips the bounds check and buffered output of
         ``mode="raise"`` and never clips: a start node ``levels`` levels up,
         doubled ``levels`` times with 0 or 1 added each time, lands in
-        ``[capacity, 2 * capacity)``; so a redraw restarts at its leaf >> levels.
+        ``[capacity, 2 * capacity)``, the leaves; so a redraw restarts at its leaf >> levels.
         """
-        nodes = self._nodes
+        nodes, cap = self._nodes, self._capacity
+        leaves = nodes[self._leaf0 :]  # heap leaf v is leaves[v - capacity]
         idx = start
         u = rng.random(idx.size)
         left = _apart(idx)
-        np.take(nodes, idx, out=left, mode="clip")
-        u *= left
+        u *= self._node_values(idx, out=left)
         go_right = np.empty(u.size, dtype=bool)
-        for _ in range(levels):
+        for _ in range(levels - 2):
             idx += idx  # the left child
             np.take(nodes, idx, out=left, mode="clip")
-            np.greater_equal(u, left, out=go_right)
-            # u - left where going right, u - 0.0 (exactly u) elsewhere; a
-            # masked subtract (where=) is several times slower
-            np.multiply(left, go_right, out=left)
-            u -= left
+            idx += _go_right(u, left, go_right)
+        idx <<= min(levels, 2)
+        idx -= cap  # the entry index of the first leaf below
+        if levels >= 2:  # the level not stored: the left child is a leaf pair
+            np.take(leaves, idx, out=left, mode="clip")
+            np.add(left, np.take(leaves[1:], idx, out=_apart(idx), mode="clip"), out=left)
+            idx += _go_right(u, left, go_right)
             idx += go_right
-        np.take(nodes, idx, out=left, mode="clip")
+        if levels:
+            np.take(leaves, idx, out=left, mode="clip")
+            idx += _go_right(u, left, go_right)
+        np.take(leaves, idx, out=left, mode="clip")
         stray = np.flatnonzero(left == 0.0)
         if stray.size:
-            idx[stray] = self._descend_many(rng, idx[stray] >> levels, levels) + self._capacity
-        idx -= self._capacity
+            idx[stray] = self._descend_many(rng, (idx[stray] + cap) >> levels, levels)
         return idx
 
     # -- mutation ------------------------------------------------------------
@@ -316,6 +370,10 @@ class WeightedVectorTree:
     def update_entry(self, i: int, value: float) -> None:
         """Set entry i to ``value`` and refresh the sums along its root path."""
         _check_index(i, self._n)
+        self._set(i, value)
+
+    def _set(self, i: int, value: float) -> None:
+        """:meth:`update_entry` for an index already checked."""
         value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"entry value must be finite, got {value}")
@@ -337,11 +395,18 @@ class WeightedVectorTree:
             sign = 1 if value > 0 else -1
         self._signs[i] = sign
         nodes = self._view
+        leaf = self._leaf0 + i
+        nodes[leaf] = mag
         idx = self._capacity + i
-        nodes[idx] = mag
         visits = 1
         # carry the sum just written up the path: each ancestor is its two children's
         # sum (IEEE addition commutes, so the bits are left + right), never a drifting delta
+        if leaf != idx:  # the parent is not stored: the grandparent sums its leaf quad
+            leaf -= i & 3
+            mag = (nodes[leaf] + nodes[leaf + 1]) + (nodes[leaf + 2] + nodes[leaf + 3])
+            idx >>= 2
+            nodes[idx] = mag
+            visits = 3
         while idx > 1:
             mag += nodes[idx ^ 1]  # the sibling
             idx >>= 1
@@ -349,39 +414,50 @@ class WeightedVectorTree:
             visits += 1
         self.last_op_visits = visits
 
+    def _children(self, from_root: bool, spare: np.ndarray):
+        """Yield ``(a, b, children)`` level by level: runs of at most ``_BLOCK`` stored
+        nodes ``a .. b - 1`` and their children's values, interleaved; below the level
+        not stored, leaf-pair sums written to ``spare`` (twice a block long)."""
+        nodes, leaf0 = self._nodes, self._leaf0
+        shift = self._capacity - leaf0
+        sizes = [1 << k for k in range(leaf0.bit_length() - 1)]
+        for size in sizes if from_root else sizes[::-1]:
+            for a in range(size, 2 * size, _BLOCK):
+                b = min(a + _BLOCK, 2 * size)
+                if 2 * a < leaf0 or not shift:
+                    yield a, b, nodes[2 * a : 2 * b]
+                else:
+                    leaves = nodes[4 * a - shift : 4 * b - shift]
+                    yield a, b, np.add(leaves[::2], leaves[1::2], out=spare[: 2 * (b - a)])
+
     def rebuild(self) -> None:
-        """Recompute every internal sum bottom-up from the leaves."""
-        nodes = self._nodes
-        size = self._capacity
-        while size > 1:
-            size //= 2
-            children = nodes[2 * size : 4 * size]
-            np.add(children[::2], children[1::2], out=nodes[size : 2 * size])  # no temporary
+        """Recompute every stored internal sum bottom-up from the leaves, a block at a time."""
+        for a, b, children in self._children(False, np.empty(min(2 * _BLOCK, self._leaf0))):
+            np.add(children[::2], children[1::2], out=self._nodes[a:b])
 
     def audit(self, rel_tol: float = 1e-9) -> None:
         """Check structural invariants; raise :class:`TreeAuditError` on failure."""
         nodes = self._nodes
-        cap = self._capacity
         mags = self.leaf_magnitudes
         if np.any(mags < 0) or not np.all(np.isfinite(nodes)):
             raise TreeAuditError("leaf magnitudes must be finite and nonnegative")
-        if nodes[0] != 0.0 or np.any(nodes[cap + self._n :] != 0.0):
+        if nodes[0] != 0.0 or np.any(nodes[self._leaf0 + self._n :] != 0.0):
             raise TreeAuditError("slot 0 and the padding leaves must stay zero")
         if np.any((self._signs == 0) != (mags == 0.0)):
             raise TreeAuditError("sign/magnitude zero pattern mismatch")
-        # level by level from the root, so the first bad node found has the lowest
-        # heap index; the work rows (sums, tolerances, gaps) fit the widest level
-        work, bad = np.empty((3, cap // 2)), np.empty(cap // 2, dtype=bool)
-        for size in (1 << level for level in range(self._depth)):
-            parents, children = nodes[size : 2 * size], nodes[2 * size : 4 * size]
-            sums, tol, gap = work[:, :size]
+        # block by block from the root, so the first bad node found has the lowest heap
+        # index; the work rows (sums, tolerances, gaps, two of leaf-pair sums) hold a block
+        work, bad = np.empty((5, _BLOCK)), np.empty(_BLOCK, dtype=bool)
+        for a, b, children in self._children(True, work[3:].reshape(-1)):
+            parents = nodes[a:b]
+            sums, tol, gap = work[:3, : b - a]
             np.add(children[::2], children[1::2], out=sums)
             np.multiply(rel_tol, np.maximum(np.abs(parents, out=tol), np.abs(sums, out=gap), out=tol), out=tol)
             np.abs(np.subtract(parents, sums, out=gap), out=gap)
-            if np.greater(gap, tol, out=bad[:size]).any():
-                k = int(bad[:size].argmax())
+            if np.greater(gap, tol, out=bad[: b - a]).any():
+                k = int(bad[: b - a].argmax())
                 raise TreeAuditError(
-                    f"node {size + k} holds {parents[k]!r} but its children sum to {sums[k]!r}"
+                    f"node {a + k} holds {parents[k]!r} but its children sum to {sums[k]!r}"
                 )
 
     # -- serialization -------------------------------------------------------
@@ -461,7 +537,7 @@ class WeightedMatrixTree:
 
     def column_pnorm_powers(self) -> np.ndarray:
         """All n column p-norm powers, as a new array."""
-        return self._tree._nodes[self._column_root : self._column_root + self._n].copy()
+        return self._tree._node_values(np.arange(self._column_root, self._column_root + self._n))
 
     def query_entry(self, i: int, j: int) -> float:
         _check_index(i, self._m, "row")
@@ -479,9 +555,10 @@ class WeightedMatrixTree:
         """Draw a row of column j with probability ``|A_ij|**p / ||A^(j)||_p^p``."""
         _check_index(j, self._n, "column")
         node = self._column_root + j
-        if self._tree._view[node] <= 0.0:
+        weight = self._tree._node(node)
+        if weight <= 0.0:
             raise EmptyDistributionError(f"column {j} is all zero")
-        return self._tree._descend(rng, node, self._row_levels) - j * self._stride
+        return self._tree._descend(rng, node, self._row_levels, weight) - j * self._stride
 
     def sample_rows(self, cols, rng: np.random.Generator) -> np.ndarray:
         """Draw one row for each column in ``cols``, from that column's distribution.
@@ -497,7 +574,7 @@ class WeightedMatrixTree:
         if np.any((cols < 0) | (cols >= self._n)):
             raise IndexError(f"column index out of range for {self._n} columns")
         nodes = self._column_root + cols
-        if np.any(self._tree._nodes[nodes] <= 0.0):
+        if np.any(self._tree._node_values(nodes) <= 0.0):
             raise EmptyDistributionError("a requested column is all zero")
         return self._tree._descend_many(rng, nodes, self._row_levels) - cols * self._stride
 
@@ -514,7 +591,7 @@ class WeightedMatrixTree:
         """Set A[i, j] and refresh the sums along its root path."""
         _check_index(i, self._m, "row")
         _check_index(j, self._n, "column")
-        self._tree.update_entry(j * self._stride + i, value)
+        self._tree._set(j * self._stride + i, value)
 
     def dense(self) -> np.ndarray:
         """Signed entries reconstructed from the leaves, as a new (m, n) array."""

@@ -61,7 +61,8 @@ class SparseMatrix:
         self.cols = np.asarray(self.cols, dtype=np.int64)
         self.vals = np.asarray(self.vals, dtype=np.float64)
         flat = self.rows * self.n + self.cols
-        if flat.size and (np.any(flat[1:] <= flat[:-1]) or flat[0] < 0 or flat[-1] >= self.m * self.n):
+        if flat.size and (np.any(flat[1:] <= flat[:-1]) or flat[0] < 0 or flat[-1] >= self.m * self.n
+                          or self.cols.min() < 0 or self.cols.max() >= self.n):
             raise ValueError("entries must be in range, sorted row-major and without duplicates")
 
     @property

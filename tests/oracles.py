@@ -133,6 +133,47 @@ def inverse_cdf_indices(weights, u):
     return np.searchsorted(np.cumsum(weights), np.asarray(u) * weights.sum(), side="right")
 
 
+# -- the sampling tree's heap -------------------------------------------------------
+
+
+def full_heap(tree):
+    """The whole 1-based heap of ``2 * capacity`` slots that a vector tree's nodes stand for.
+
+    Slot 0 is zero, node v has children ``2v`` and ``2v + 1``, and the leaves
+    are slots ``capacity ..``.  The tree stores the nodes below ``_leaf0`` and
+    the leaves; the level it leaves out is restored as its leaf pairs' sums.
+    """
+    cap, leaf0, nodes = tree._capacity, tree._leaf0, tree._nodes
+    heap = np.zeros(2 * cap)
+    heap[:leaf0], heap[cap:] = nodes[:leaf0], nodes[leaf0:]
+    heap[leaf0:cap] = heap[2 * leaf0 :: 2] + heap[2 * leaf0 + 1 :: 2]
+    return heap
+
+
+def heap_from_leaves(leaves, capacity):
+    """A heap of ``2 * capacity`` slots summed node by node from the leaves, padding zero."""
+    heap = np.zeros(2 * capacity)
+    heap[capacity : capacity + len(leaves)] = leaves
+    for v in range(capacity - 1, 0, -1):
+        heap[v] = heap[2 * v] + heap[2 * v + 1]
+    return heap
+
+
+def heap_descent(heap, start, levels, u):
+    """The heap leaf that uniform ``u`` reaches from ``start`` down ``levels`` levels.
+
+    The inverse-CDF rule on Python floats: scale ``u`` by the start node, go
+    right wherever it is at least the left child, and drop that child's value.
+    """
+    node, u = start, u * heap[start]
+    for _ in range(levels):
+        node *= 2
+        if u >= heap[node]:
+            u -= heap[node]
+            node += 1
+    return node
+
+
 # -- sparse inputs -----------------------------------------------------------------
 
 

@@ -170,6 +170,19 @@ class TestLabelClasses:
         with pytest.raises(ValueError):
             run_dfe(ghz_state(63), no_noise(), 0.1, 0.1, "l1", stream(0, 0))
 
+    def test_runs_share_one_read_only_table_per_target(self):
+        table = _label_classes(w_state(10))
+        hits = _label_classes.cache_info().hits
+        for key in (0, 1):
+            run_dfe(w_state(10), depolarizing(0.1), 0.1, 0.1, "l1", stream(63, key))
+        assert _label_classes.cache_info().hits == hits + 2
+        assert all(a is b for a, b in zip(_label_classes(w_state(10)), table))
+        for array in table:
+            with pytest.raises(ValueError):
+                array[0] = 0
+        with pytest.raises(ValueError):
+            _label_classes(w_state(63))
+
 
 def class_shares(target, norm, seed):
     """Share of the levels each (chi, is-identity) class took in one run of 10^6 levels."""

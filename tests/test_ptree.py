@@ -15,13 +15,14 @@ from lpsample.ptree import (
     TreeAuditError,
     WeightedMatrixTree,
     WeightedVectorTree,
+    _BLOCK,
     _apart,
     build_matrix_tree,
     build_vector_tree,
 )
 from lpsample.randkit import stream
 
-from oracles import inverse_cdf_indices, tv_distance
+from oracles import full_heap, heap_descent, heap_from_leaves, inverse_cdf_indices, tv_distance
 
 
 class TestBuild:
@@ -62,10 +63,12 @@ class TestBuild:
 
 
 class TestBuildBitsGolden:
-    """sha256 of ``to_bytes()`` and of the whole node array for vector trees
+    """sha256 of ``to_bytes()`` and of the whole heap for vector trees
     (with -0.0, zeros and entries whose ``|x|**p`` underflows), matrix trees
     and a ``from_bytes`` round trip: a build may change how it fills the
-    heap, never the bits it leaves there."""
+    heap, never the bits it leaves there.  The heap is read through
+    :func:`full_heap`, so the digests recorded on the full 2 * capacity heap
+    also pin the nodes the tree stores."""
 
     GOLDEN = {
         1.0: "878a06f1f3325a8ea9f222a0243967eafe7fba3b71f6cce2eae23e400696bc87",
@@ -90,9 +93,9 @@ class TestBuildBitsGolden:
         for k, n in enumerate((1, 7, 8, 9, 4097, 65539)):
             tree = build_vector_tree(cls.vector(n, k), p)
             digest.update(tree.to_bytes())
-            digest.update(tree._nodes.tobytes())
+            digest.update(full_heap(tree).tobytes())
             clone = WeightedVectorTree.from_bytes(tree.to_bytes())
-            digest.update(clone._nodes.tobytes() + clone._signs.tobytes())
+            digest.update(full_heap(clone).tobytes() + clone._signs.tobytes())
         if p in (1.5, 3.0):
             for k, (m, n) in enumerate(((7, 3), (300, 5))):
                 A = stream(92, k).normal(size=(m, n))
@@ -101,7 +104,7 @@ class TestBuildBitsGolden:
                 A[2::7] = 1e-110
                 mt = build_matrix_tree(A, p)
                 digest.update(mt._tree.to_bytes())
-                digest.update(mt._tree._nodes.tobytes())
+                digest.update(full_heap(mt._tree).tobytes())
         return digest.hexdigest()
 
     @pytest.mark.parametrize("p", sorted(GOLDEN))
@@ -297,9 +300,9 @@ class TestUpdate:
 
     def test_only_ancestors_change(self):
         tree = build_vector_tree(np.arange(1, 9.0), 2)
-        before = tree._nodes.copy()
+        before = full_heap(tree)
         tree.update_entry(5, 9.0)
-        changed = set(np.flatnonzero(before != tree._nodes))
+        changed = set(np.flatnonzero(before != full_heap(tree)))
         v = tree._capacity + 5
         path = {v}
         while v > 1:
@@ -420,14 +423,18 @@ class TestCostAccounting:
             tree.sample_index(rng)
             assert tree.last_op_visits == visits
 
-    @pytest.mark.parametrize("m,n", [(1, 1), (5, 3), (4, 4), (3, 7), (17, 2)])
+    @pytest.mark.parametrize("m,n", [(1, 1), (5, 3), (4, 4), (3, 7), (17, 2), (1, 4), (2, 1), (2, 3)])
     def test_matrix_update_visits_equal_depth_plus_one(self, m, n):
-        # the vector tree holds n columns of stride 2^ceil(log2 m)
+        # the vector tree holds n columns of stride 2^ceil(log2 m); strides 1 and 2
+        # put the column roots on the leaves and on the level that is not stored
         visits = math.ceil(math.log2(m)) + math.ceil(math.log2(n)) + 1
         mt = build_matrix_tree(np.ones((m, n)), 1.5)
+        rng = stream(3, 10 * m + n)
         for i in range(m):
             for j in range(n):
                 mt.update_entry(i, j, 2.0 - i)
+                assert mt._tree.last_op_visits == visits
+                mt.sample_entry(rng)
                 assert mt._tree.last_op_visits == visits
 
 
@@ -490,7 +497,7 @@ class TestInvariants:
             if stage:
                 for k, x in steps:
                     tree.update_entry(*(int(c) for c in np.unravel_index(k, shape)), x)
-            nodes, cap = vt._nodes, vt._capacity
+            nodes, cap = full_heap(vt), vt._capacity
             assert nodes[0] == 0.0 and nodes.size == 2 * cap
             v = np.arange(1, cap)
             assert np.array_equal(nodes[v], nodes[2 * v] + nodes[2 * v + 1])
@@ -504,6 +511,43 @@ class TestInvariants:
                     first = (start << levels) - cap
                     assert np.all((idx >= first) & (idx < first + (1 << levels)))
                     assert np.all(vt.leaf_magnitudes[idx] > 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 9), st.integers(1, 7), st.booleans(),
+           st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    def test_stored_nodes_and_descents_match_the_heap_oracle(self, data, m, n, matrix, p):
+        # after updates, the stored nodes are those of a heap summed from the
+        # leaves, every node read through the tree (on the level not stored too)
+        # is the heap's, and a descent from any node, on the leaves and on the level
+        # not stored too (where stride-1 and stride-2 column roots sit), walks the
+        # heap step for step
+        shape = (m, n) if matrix else (m * n,)
+        value = st.floats(-50, 50, allow_nan=False)
+        values = np.array(data.draw(st.lists(value, min_size=m * n, max_size=m * n))).reshape(shape)
+        tree = (build_matrix_tree if matrix else build_vector_tree)(values, p)
+        vt = tree._tree if matrix else tree
+        for k, x in data.draw(st.lists(st.tuples(st.integers(0, m * n - 1), value), max_size=30)):
+            tree.update_entry(*(int(c) for c in np.unravel_index(k, shape)), x)
+        cap, leaf0 = vt._capacity, vt._leaf0
+        heap = heap_from_leaves(vt.leaf_magnitudes, cap)
+        assert vt._nodes.tobytes() == heap[:leaf0].tobytes() + heap[cap:].tobytes()
+        assert full_heap(vt).tobytes() == heap.tobytes()
+        assert [vt._node(v) for v in range(1, 2 * cap)] == heap[1:].tolist()
+        for level in range(vt._depth + 1):
+            nodes, levels = np.arange(1 << level, 2 << level), vt._depth - level
+            assert vt._node_values(nodes).tolist() == heap[nodes].tolist()
+            for v in nodes[heap[nodes] > 0.0].tolist():
+                u = stream(54, v).random(16).tolist()
+                expected = np.array([heap_descent(heap, v, levels, x) for x in u]) - cap
+                hit = heap[expected + cap] > 0.0  # a draw on a zero leaf is made again
+                got = vt._descend_many(stream(54, v), np.full(16, v), levels)
+                np.testing.assert_array_equal(got[hit], expected[hit])
+                assert np.all(heap[got + cap] > 0.0) and np.all(got >> levels == v - (cap >> levels))
+                if hit[0]:
+                    assert vt._descend(stream(54, v), v, levels, vt._node(v)) == expected[0]
+        if matrix:
+            roots = np.arange(tree._column_root, tree._column_root + n)
+            assert tree.column_pnorm_powers().tolist() == heap[roots].tolist()
 
 
 def traced_peak(build):
@@ -529,6 +573,23 @@ class TestBuildMemory:
         kept = tree._nodes.nbytes + tree._signs.nbytes
         assert peak <= kept + n + 256 * 1024
 
+    def test_p1_build_makes_no_zero_mask(self):
+        # 12 bytes of nodes and one sign byte a leaf, and at p = 1 no n-byte mask
+        # of underflowed magnitudes: a magnitude is zero only where its sign is
+        x = stream(93, 3).normal(size=1 << 20)
+        x[::7] = 0.0
+        tree, peak = traced_peak(lambda: build_vector_tree(x, 1.0))
+        assert (tree._nodes.nbytes, tree._signs.nbytes) == (12 * 2**20, 2**20)
+        assert peak <= tree._nodes.nbytes + tree._signs.nbytes + 64 * 1024
+        assert np.array_equal(tree.leaf_signs, np.sign(x))
+
+    def test_rebuild_allocates_one_block(self):
+        tree = build_vector_tree(stream(93, 4).normal(size=1 << 20), 1.5)
+        nodes = tree._nodes.tobytes()
+        _, peak = traced_peak(tree.rebuild)
+        assert peak <= 8 * 2 * _BLOCK + 4096  # one block of leaf-pair sums
+        assert tree._nodes.tobytes() == nodes
+
     def test_matrix_build_peak(self):
         A = stream(93, 1).normal(size=(1000, 64))
         _, peak = traced_peak(lambda: build_matrix_tree(A, 1.5))
@@ -537,7 +598,7 @@ class TestBuildMemory:
     def test_audit_peak(self):
         tree = build_vector_tree(stream(93, 2).normal(size=1 << 20), 1.5)
         _, peak = traced_peak(tree.audit)
-        assert peak < 16 * 2**20
+        assert peak <= 12.5 * 2**20 / 2  # half of the widest level's work rows
 
 
 class TestSerialization:

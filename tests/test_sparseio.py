@@ -402,7 +402,8 @@ class TestCsrRows:
             assert matrix.support(i).tolist() == np.flatnonzero(dense[i]).tolist()
         assert matrix.nonzero_rows().tolist() == np.flatnonzero(dense.any(axis=1)).tolist()
 
-    @pytest.mark.parametrize("rows,cols", [([1, 0], [0, 0]), ([0, 0], [1, 1]), ([0, 2], [0, 0]), ([0], [-1])])
+    @pytest.mark.parametrize("rows,cols", [([1, 0], [0, 0]), ([0, 0], [1, 1]), ([0, 2], [0, 0]), ([0], [-1]),
+                                           ([0], [3]), ([1], [-1]), ([0, 0], [1, 2])])
     def test_unsorted_duplicate_or_out_of_range_entries_are_rejected(self, rows, cols):
         with pytest.raises(ValueError, match="sorted row-major"):
             SparseMatrix(2, 2, np.array(rows), np.array(cols), np.ones(len(rows)))
