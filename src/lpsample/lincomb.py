@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ptree import EmptyDistributionError, WeightedMatrixTree, WeightedVectorTree, _magnitudes
+from .ptree import EmptyDistributionError, WeightedMatrixTree, WeightedVectorTree, _magnitudes, _signed_values
 from .randkit import DistributionSpec, MomentProfile, moment_profile, stream
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "MpCurvePoint",
     "CombinationSampler",
     "exact_m",
-    "acceptance_ratios",
     "measure_mp",
     "theoretical_limit",
     "theoretical_mp",
@@ -105,17 +104,9 @@ class MpCurvePoint:
     theory_m: float | None
 
 
-def _combination_inputs(A, x) -> tuple[np.ndarray, np.ndarray]:
-    A = np.asarray(A, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if A.ndim != 2 or x.ndim != 1 or A.shape[1] != x.size:
-        raise ValueError("A must be (m, n) and x length n")
-    return A, x
-
-
-# Both functions check only their sums of |.|^p terms: a non-finite entry of
-# A or x reaches those as inf or nan (0 * inf is nan), so the same check that
-# catches overflow also rejects non-finite input.
+# exact_m and the sampler check only their sums of |.|^p terms: a non-finite
+# entry of A or x reaches those as inf or nan (0 * inf is nan), so the same
+# check that catches overflow also rejects non-finite input.
 _NOT_FINITE = "A and x must be finite, and |.|^p must not overflow"
 
 
@@ -126,7 +117,10 @@ def exact_m(A, x, p):
     Takes one p (returns a float) or a sequence of p (returns a float array
     in the same order); ``A @ x`` is computed once for the whole grid.
     """
-    A, x = _combination_inputs(A, x)
+    A = np.asarray(A, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    if A.ndim != 2 or x.ndim != 1 or A.shape[1] != x.size:
+        raise ValueError("A must be (m, n) and x length n")
     n = x.size
     combo = A @ x
     grid = np.asarray(p, dtype=np.float64)
@@ -142,52 +136,52 @@ def exact_m(A, x, p):
     return out if out.ndim else float(out)
 
 
-def acceptance_ratios(A, x, p: float) -> np.ndarray:
-    """Per-row acceptance ratio r_i; rows no proposal can reach are zero."""
-    A, x = _combination_inputs(A, x)
-    n = x.size
-    denom = n ** (p - 1.0) * _magnitudes(A * x, p).sum(axis=1)
-    num = _magnitudes(A @ x, p)
-    if not (np.all(np.isfinite(denom)) and np.all(np.isfinite(num))):
-        raise ValueError(_NOT_FINITE)
-    out = np.zeros(A.shape[0])
-    reachable = denom > 0.0
-    out[reachable] = num[reachable] / denom[reachable]
-    return out
-
-
 class CombinationSampler:
     """Reusable rejection sampler for one (matrix structure, coefficients) pair.
 
-    Construction performs the O(n) proposal setup: n coefficient queries plus
-    n column-norm queries to build an ephemeral vector tree over the proposal
-    weights.  Each :meth:`sample` iteration then costs one column draw, one
-    row draw, and n entry queries for the acceptance ratio.
+    Construction performs the proposal setup and tabulates the acceptance
+    ratio of every row.  The proposal tree is built over the weights
+    ``|x_j|^p ||A^(j)||_p^p``, from n coefficient and n column-norm queries.
+    The ratios come from one pass over the tree's leaves, the same order of
+    work as the tree build: the denominators are ``n^(p-1) * (|x|^p @ leaves)``
+    and need no power, and only the m numerators ``|(Ax)_i|^p`` take one.
+    Rows that no proposal can reach get ratio 0.  Each :meth:`sample`
+    iteration then costs one column draw, one row draw and one table read.
+    The ``queries`` it reports still count the sample-and-query model, 2n
+    setup queries plus n entry queries per iteration, not leaf reads.
+
+    A sampler is a snapshot of its tree: after ``update_entry``, build a new one.
     """
 
     def __init__(self, matrix_tree: WeightedMatrixTree, x, *, expected_iterations: float | None = None):
         self._mt = matrix_tree
         m, n = matrix_tree.shape
-        self._p = matrix_tree.p
-        self._x = np.asarray(x, dtype=np.float64).copy()
-        if self._x.shape != (n,):
+        p = matrix_tree.p
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (n,):
             raise ValueError(f"coefficients must have length {n}")
-        if not np.all(np.isfinite(self._x)):
+        if not np.all(np.isfinite(x)):
             raise ValueError("coefficients must be finite")
 
-        weights = _magnitudes(self._x, self._p) * matrix_tree.column_pnorm_powers()
+        x_powers = _magnitudes(x, p)
+        weights = x_powers * matrix_tree.column_pnorm_powers()
         if not np.any(weights > 0):
             raise EmptyDistributionError("every term x_j * column_j is zero")
-        self._proposal_tree = WeightedVectorTree._from_magnitudes(
-            weights, (weights > 0).astype(np.int8), self._p
-        )
-        self._setup_queries = 2 * n
-        self._scale = n ** (self._p - 1.0)
+        self._proposal_tree = WeightedVectorTree._from_magnitudes(weights, (weights > 0).astype(np.int8), p)
+        self._n = n
         if expected_iterations is not None:
             self._cap = 10_000 * max(1, math.ceil(expected_iterations))
         else:
             self._cap = _DEFAULT_ITERATION_CAP
-        self._ratios = None
+
+        # the module docstring's r_i for every row, over (n, m) views of the leaves
+        leaves, signs = matrix_tree._columns()
+        denominators = n ** (p - 1.0) * (x_powers @ leaves)
+        numerators = _magnitudes(x @ _signed_values(leaves, signs, p), p)
+        if not (np.all(np.isfinite(denominators)) and np.all(np.isfinite(numerators))):
+            raise ValueError(_NOT_FINITE)
+        self._ratios = np.zeros(m)
+        np.divide(numerators, denominators, out=self._ratios, where=denominators > 0.0)
 
     def sample(self, rng: np.random.Generator) -> RejectionSampleResult:
         """Draw one index from the target distribution.
@@ -195,29 +189,22 @@ class CombinationSampler:
         Query accounting: 2n setup queries (charged to every result) plus n
         row queries per iteration.
         """
-        mt = self._mt
-        n = self._x.size
         iterations = 0
         while iterations < self._cap:
             iterations += 1
             j = self._proposal_tree.sample_index(rng)
-            i = mt.sample_row(j, rng)
-            terms = self._x * mt.query_row(i)
-            denominator = float(np.sum(_magnitudes(terms, self._p)))
-            ratio = abs(float(terms.sum())) ** self._p / (self._scale * denominator)
-            if rng.random() < ratio:
-                return RejectionSampleResult(i, iterations, self._setup_queries + iterations * n)
+            i = self._mt.sample_row(j, rng)
+            if rng.random() < self._ratios[i]:
+                return RejectionSampleResult(i, iterations, (2 + iterations) * self._n)
         raise NonTerminationError(iterations)
 
     def sample_many(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, int]:
         """Draw ``count`` accepted indices, batching proposals in chunks.
 
         Returns (indices, total proposals consumed through the last
-        acceptance).  Reads the stored matrix once up front, so per-sample
-        query accounting does not apply; use :meth:`sample` for that.
+        acceptance).  Per-sample query accounting does not apply; use
+        :meth:`sample` for that.
         """
-        if self._ratios is None:
-            self._ratios = acceptance_ratios(self._mt.dense(), self._x, self._p)
         ratios = self._ratios
         accepted = np.empty(count, dtype=np.int64)
         got = 0

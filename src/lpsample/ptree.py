@@ -283,9 +283,10 @@ class WeightedVectorTree:
         give, except when rounding lands a draw on a zero leaf, which is made
         again at the end of the batch (see :meth:`_descend_many`).
         """
-        if self._view[1] <= 0.0:
+        root = self._view[1]
+        if root <= 0.0:
             raise EmptyDistributionError("all entries are zero")
-        return self._descend_many(rng, np.ones(size, dtype=np.int64), self._depth)
+        return self._descend_many(rng, np.ones(size, dtype=np.int64), self._depth, root)
 
     def _descend(self, rng: np.random.Generator, start: int, levels: int, weight: float) -> int:
         """Draw one leaf ``levels`` levels below ``start``; return its entry index.
@@ -320,7 +321,7 @@ class WeightedVectorTree:
             if nodes[leaf] != 0.0:
                 return leaf - self._leaf0
 
-    def _descend_many(self, rng: np.random.Generator, start: np.ndarray, levels: int) -> np.ndarray:
+    def _descend_many(self, rng: np.random.Generator, start: np.ndarray, levels: int, weight) -> np.ndarray:
         """Draw one leaf ``levels`` levels below each node in ``start``; return entry indices.
 
         An inverse-CDF walk: each draw takes one uniform, scaled by its start
@@ -329,9 +330,10 @@ class WeightedVectorTree:
         depends on its own uniform only.  Rounding in the subtractions can
         carry a draw past its subtree's total into a zero leaf; such draws
         are made again, in draw order.  :meth:`_descend` follows the same
-        rule one draw at a time.  The caller checks that every start node has
-        weight, and hands over ``start`` (heap nodes on one level), which is
-        walked in place.  The last two levels read the leaves.
+        rule one draw at a time.  The caller hands over ``start`` (heap nodes
+        on one level), which is walked in place, and ``weight``, the start
+        nodes' values (an array, or one float for one start node), checked to
+        be positive.  The last two levels read the leaves.
 
         ``mode="clip"`` skips the bounds check and buffered output of
         ``mode="raise"`` and never clips: a start node ``levels`` levels up,
@@ -342,8 +344,8 @@ class WeightedVectorTree:
         leaves = nodes[self._leaf0 :]  # heap leaf v is leaves[v - capacity]
         idx = start
         u = rng.random(idx.size)
+        u *= weight
         left = _apart(idx)
-        u *= self._node_values(idx, out=left)
         go_right = np.empty(u.size, dtype=bool)
         for _ in range(levels - 2):
             idx += idx  # the left child
@@ -362,7 +364,8 @@ class WeightedVectorTree:
         np.take(leaves, idx, out=left, mode="clip")
         stray = np.flatnonzero(left == 0.0)
         if stray.size:
-            idx[stray] = self._descend_many(rng, (idx[stray] + cap) >> levels, levels)
+            again = (idx[stray] + cap) >> levels
+            idx[stray] = self._descend_many(rng, again, levels, self._node_values(again))
         return idx
 
     # -- mutation ------------------------------------------------------------
@@ -439,12 +442,15 @@ class WeightedVectorTree:
         """Check structural invariants; raise :class:`TreeAuditError` on failure."""
         nodes = self._nodes
         mags = self.leaf_magnitudes
-        if np.any(mags < 0) or not np.all(np.isfinite(nodes)):
+        # no n-sized temporaries: min and max carry any nan or inf, count_nonzero
+        # counts in place, and the zero patterns are compared a block at a time
+        if mags.min() < 0 or not (math.isfinite(nodes.min()) and math.isfinite(nodes.max())):
             raise TreeAuditError("leaf magnitudes must be finite and nonnegative")
-        if nodes[0] != 0.0 or np.any(nodes[self._leaf0 + self._n :] != 0.0):
+        if nodes[0] != 0.0 or np.count_nonzero(nodes[self._leaf0 + self._n :]):
             raise TreeAuditError("slot 0 and the padding leaves must stay zero")
-        if np.any((self._signs == 0) != (mags == 0.0)):
-            raise TreeAuditError("sign/magnitude zero pattern mismatch")
+        for a in range(0, self._n, _BLOCK):
+            if np.any((self._signs[a : a + _BLOCK] == 0) != (mags[a : a + _BLOCK] == 0.0)):
+                raise TreeAuditError("sign/magnitude zero pattern mismatch")
         # block by block from the root, so the first bad node found has the lowest heap
         # index; the work rows (sums, tolerances, gaps, two of leaf-pair sums) hold a block
         work, bad = np.empty((5, _BLOCK)), np.empty(_BLOCK, dtype=bool)
@@ -532,8 +538,10 @@ class WeightedMatrixTree:
     def shape(self) -> tuple[int, int]:
         return (self._m, self._n)
 
-    def _grid(self, leaves: np.ndarray) -> np.ndarray:
-        return leaves.reshape(self._n, self._stride)[:, : self._m].T
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n, m) views of the leaf magnitudes and signs: row j is column j, without its padding."""
+        tree, shape = self._tree, (self._n, self._stride)
+        return tree.leaf_magnitudes.reshape(shape)[:, : self._m], tree.leaf_signs.reshape(shape)[:, : self._m]
 
     def column_pnorm_powers(self) -> np.ndarray:
         """All n column p-norm powers, as a new array."""
@@ -543,13 +551,6 @@ class WeightedMatrixTree:
         _check_index(i, self._m, "row")
         _check_index(j, self._n, "column")
         return self._tree._entry(j * self._stride + i)
-
-    def query_row(self, i: int) -> np.ndarray:
-        """Signed entries of row i, as a new length-n array (n entry queries)."""
-        _check_index(i, self._m, "row")
-        tree = self._tree
-        row = slice(i, None, self._stride)
-        return _signed_values(tree.leaf_magnitudes[row], tree.leaf_signs[row], tree.p)
 
     def sample_row(self, j: int, rng: np.random.Generator) -> int:
         """Draw a row of column j with probability ``|A_ij|**p / ||A^(j)||_p^p``."""
@@ -574,9 +575,10 @@ class WeightedMatrixTree:
         if np.any((cols < 0) | (cols >= self._n)):
             raise IndexError(f"column index out of range for {self._n} columns")
         nodes = self._column_root + cols
-        if np.any(self._tree._node_values(nodes) <= 0.0):
+        weights = self._tree._node_values(nodes)
+        if np.any(weights <= 0.0):
             raise EmptyDistributionError("a requested column is all zero")
-        return self._tree._descend_many(rng, nodes, self._row_levels) - cols * self._stride
+        return self._tree._descend_many(rng, nodes, self._row_levels, weights) - cols * self._stride
 
     def sample_entry(self, rng: np.random.Generator) -> tuple[int, int]:
         j, i = divmod(self._tree.sample_index(rng), self._stride)
@@ -595,7 +597,7 @@ class WeightedMatrixTree:
 
     def dense(self) -> np.ndarray:
         """Signed entries reconstructed from the leaves, as a new (m, n) array."""
-        return self._grid(self._tree.entries())
+        return _signed_values(*self._columns(), self.p).T
 
     def audit(self, rel_tol: float = 1e-9) -> None:
         """Check the vector tree's invariants and that every padding row is zero."""

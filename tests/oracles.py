@@ -57,6 +57,19 @@ def combination_distribution(A, x, p):
     return weights / weights.sum()
 
 
+def acceptance_ratios(A, x, p):
+    """Rejection sampler's per-row acceptance ratio from dense A,
+    ``|(Ax)_i|^p / (n^(p-1) * sum_j |x_j A_ij|^p)``; rows no proposal can reach are zero."""
+    A = np.asarray(A, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    denom = x.size ** (p - 1.0) * np.sum(np.abs(A * x) ** p, axis=1)
+    num = np.abs(A @ x) ** p
+    out = np.zeros(A.shape[0])
+    reachable = denom > 0.0
+    out[reachable] = num[reachable] / denom[reachable]
+    return out
+
+
 def exact_m_one_p(A, x, p):
     """M(p) for one p, written as the plain NumPy formula with ``**`` powers.
 

@@ -7,7 +7,6 @@ import lpsample.lincomb as lincomb
 from lpsample.lincomb import (
     CombinationSampler,
     NonTerminationError,
-    acceptance_ratios,
     exact_m,
     measure_mp,
     mp_curve,
@@ -18,7 +17,7 @@ from lpsample.lincomb import (
 from lpsample.ptree import EmptyDistributionError, build_matrix_tree
 from lpsample.randkit import exponential, laplace, moment_profile, normal, stream, uniform
 
-from oracles import combination_distribution, exact_m_one_p, tv_distance
+from oracles import acceptance_ratios, combination_distribution, exact_m_one_p, tv_distance
 
 COUNTER_A = np.array([[1.0, 1.0], [2.0, -2.0]])
 COUNTER_X = np.array([1.0, -1.0])
@@ -71,7 +70,7 @@ class TestExactM:
         with pytest.raises(ValueError):
             exact_m(A, x, 2.0)
         with pytest.raises(ValueError):
-            acceptance_ratios(A, x, 2.0)
+            CombinationSampler(build_matrix_tree(A, 2.0), x)
 
     def test_grid_equals_one_p_oracle_bit_for_bit(self):
         rng = stream(56, 0)
@@ -113,10 +112,11 @@ class TestExactM:
                 assert math.isfinite(exact_m([[big, big]], [1.0, 1.0], grid[0]))
 
     def test_acceptance_ratios_shape_checked(self):
+        # the sampler tabulates the ratios, so its inputs carry the shape checks
         with pytest.raises(ValueError):
-            acceptance_ratios(np.ones((2, 3)), np.ones(1), 1.0)
+            CombinationSampler(build_matrix_tree(np.ones((2, 3)), 1.0), np.ones(1))
         with pytest.raises(ValueError):
-            acceptance_ratios(np.ones(3), np.ones(3), 1.0)
+            build_matrix_tree(np.ones(3), 1.0)
 
     def test_holder_probes(self):
         # 10^5 row-level probes of r_i <= 1 and M >= 1 across random p in [1, 3]
@@ -130,10 +130,49 @@ class TestExactM:
             if not np.any(A @ x != 0.0):
                 continue
             p = float(rng.uniform(1.0, 3.0))
-            ratios = acceptance_ratios(A, x, p)
+            ratios = CombinationSampler(build_matrix_tree(A, p), x)._ratios
             assert np.all(ratios <= 1.0 + 1e-9)
             assert exact_m(A, x, p) >= 1.0 - 1e-9
             rows_checked += m
+
+
+class TestRatioTable:
+    """The sampler's table, read from the tree's leaves, against the dense oracle."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_table_matches_oracle(self, p):
+        rng = stream(58, int(2 * p))
+        for m, n in ((13, 7), (5, 3), (1, 4), (37, 11)):  # stride 16, 8, 1, 64: padding rows
+            A = rng.normal(size=(m, n)) * rng.exponential(1.0)
+            A[1::4] = 0.0  # all-zero rows
+            x = rng.normal(size=n)
+            x[0] = 0.0  # a zero coefficient
+            ratios = CombinationSampler(build_matrix_tree(A, p), x)._ratios
+            expected = acceptance_ratios(A, x, p)
+            assert ratios.shape == (m,)
+            assert np.all(ratios[1::4] == 0.0)
+            # the denominators sum in another order, so allow a few ulps of 1, the ratios' bound
+            np.testing.assert_allclose(ratios, expected, rtol=0, atol=8 * np.finfo(float).eps)
+
+    def test_scaled_denominator_overflow_rejected(self):
+        # |A_ij|^3 sums to a finite 1.02e308 a row, and n^(p-1) = 2^20 carries it past the
+        # largest float; the alternating signs cancel, so only the denominator overflows
+        n = 1024
+        A = np.where(np.arange(n) % 2, -1.0, 1.0)[None, :] * 1e305 ** (1.0 / 3.0)
+        mt = build_matrix_tree(A, 3.0)
+        with pytest.raises(ValueError, match="overflow"):
+            CombinationSampler(mt, np.ones(n))
+
+    def test_sampler_reads_no_dense_copy(self, monkeypatch):
+        mt = build_matrix_tree(COUNTER_A, 1.5)
+
+        def refuse(self):
+            raise AssertionError("dense() called")
+
+        monkeypatch.setattr(type(mt), "dense", refuse)
+        sampler = CombinationSampler(mt, COUNTER_X)
+        sampler.sample(stream(59, 0))
+        assert sampler.sample_many(stream(59, 1), 10)[0].size == 10
 
 
 class TestRejectionSampler:

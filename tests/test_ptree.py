@@ -330,7 +330,7 @@ class TestUpdate:
             tree.query_entry(flag)
         for call in (lambda: mt.update_entry(flag, 0, 5.0), lambda: mt.update_entry(0, flag, 5.0),
                      lambda: mt.query_entry(flag, 0), lambda: mt.query_entry(0, flag),
-                     lambda: mt.query_row(flag), lambda: mt.sample_row(flag, stream(0, 0)),
+                     lambda: mt.sample_row(flag, stream(0, 0)),
                      lambda: mt.sample_rows([flag, not flag], stream(0, 0)),
                      lambda: mt.sample_rows(np.array([1.7]), stream(0, 0))):
             with pytest.raises(IndexError):
@@ -473,6 +473,20 @@ class TestInvariants:
         with pytest.raises(TreeAuditError):
             tree.audit()
 
+    @pytest.mark.parametrize("leaf,value,message", [
+        (None, math.nan, "finite and nonnegative"),  # an internal node
+        (100, -math.inf, "finite and nonnegative"),
+        (2100, -1.0, "finite and nonnegative"),  # a leaf in the second block
+        (5007, 1.0, "padding leaves"),
+        (4500, 0.0, "zero pattern"),  # a leaf in the third block
+    ])
+    def test_audit_messages_across_leaf_blocks(self, leaf, value, message):
+        tree = build_vector_tree(stream(93, 5).normal(size=5000), 1.5)  # 3 leaf blocks, then padding
+        tree.audit()
+        tree._nodes[2 if leaf is None else tree._leaf0 + leaf] = value
+        with pytest.raises(TreeAuditError, match=message):
+            tree.audit()
+
     @pytest.mark.parametrize("size", [1, 7, 65536])
     def test_gather_output_sits_half_a_page_from_its_indices(self, size):
         idx = np.ones(size, dtype=np.int64)
@@ -507,7 +521,7 @@ class TestInvariants:
             for start, levels in starts:
                 if nodes[start] > 0.0:
                     rng = stream(53, 100 * stage + start)
-                    idx = vt._descend_many(rng, np.full(64, start, dtype=np.int64), levels)
+                    idx = vt._descend_many(rng, np.full(64, start, dtype=np.int64), levels, nodes[start])
                     first = (start << levels) - cap
                     assert np.all((idx >= first) & (idx < first + (1 << levels)))
                     assert np.all(vt.leaf_magnitudes[idx] > 0.0)
@@ -540,7 +554,7 @@ class TestInvariants:
                 u = stream(54, v).random(16).tolist()
                 expected = np.array([heap_descent(heap, v, levels, x) for x in u]) - cap
                 hit = heap[expected + cap] > 0.0  # a draw on a zero leaf is made again
-                got = vt._descend_many(stream(54, v), np.full(16, v), levels)
+                got = vt._descend_many(stream(54, v), np.full(16, v), levels, vt._node(v))
                 np.testing.assert_array_equal(got[hit], expected[hit])
                 assert np.all(heap[got + cap] > 0.0) and np.all(got >> levels == v - (cap >> levels))
                 if hit[0]:
@@ -598,7 +612,7 @@ class TestBuildMemory:
     def test_audit_peak(self):
         tree = build_vector_tree(stream(93, 2).normal(size=1 << 20), 1.5)
         _, peak = traced_peak(tree.audit)
-        assert peak <= 12.5 * 2**20 / 2  # half of the widest level's work rows
+        assert peak <= 512 * 1024  # every n-sized check runs a block at a time
 
 
 class TestSerialization:
@@ -680,7 +694,7 @@ class TestMatrixTree:
             A[rng.random(size=A.shape) < 0.3] = 0.0
             mt = build_matrix_tree(A, p)
             flat = build_vector_tree(A.reshape(-1), p)
-            two_level = (mt._grid(mt._tree.leaf_magnitudes) / mt._tree.query_pnorm_power()).reshape(-1)
+            two_level = (mt._columns()[0].T / mt._tree.query_pnorm_power()).reshape(-1)
             np.testing.assert_allclose(two_level, flat.probabilities(), rtol=1e-12, atol=1e-15)
 
     def test_two_level_sampling_frequencies(self):
@@ -701,21 +715,6 @@ class TestMatrixTree:
         assert mt.query_entry(0, 1) == pytest.approx(-3.0)
         assert mt.column_pnorm_powers().tolist() == pytest.approx([1.0, 13.0])
         assert mt._tree.query_pnorm_power() == pytest.approx(14.0)
-
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
-    def test_query_row_matches_query_entry(self, p):
-        A = stream(53, 0).normal(size=(5, 3))
-        A[1, 2] = 0.0
-        A[4] = 0.0
-        mt = build_matrix_tree(A, p)
-        mt.update_entry(2, 1, -0.5)
-        for i in range(5):
-            expected = [mt.query_entry(i, j) for j in range(3)]
-            assert mt.query_row(i).tolist() == expected
-        # row 5 is a padding row (stride 8), rows 8 and -1 lie outside the layout
-        for i in (-1, 5, 8):
-            with pytest.raises(IndexError):
-                mt.query_row(i)
 
     @pytest.mark.parametrize("i,j", [(0, -1), (-1, 0), (-1, -1), (3, 0), (0, 3), (0, 4)])
     def test_out_of_range_indices_rejected(self, i, j):
@@ -777,7 +776,7 @@ class TestMatrixTree:
         np.testing.assert_allclose(mt.dense(), A, rtol=1e-12)
         np.testing.assert_allclose(mt.column_pnorm_powers(), weights.sum(axis=0), rtol=1e-12)
         if weights.sum() > 0.0:
-            probabilities = mt._grid(mt._tree.leaf_magnitudes) / mt._tree.query_pnorm_power()
+            probabilities = mt._columns()[0].T / mt._tree.query_pnorm_power()
             np.testing.assert_allclose(probabilities, weights / weights.sum(), rtol=1e-12)
         else:
             with pytest.raises(EmptyDistributionError):
