@@ -172,7 +172,10 @@ def _jsonable(value):
 
 
 def _json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:  # strict JSON has no inf or nan
+        raise DataError(f"a result is not finite: {exc}") from None
 
 
 def _csv(header: list[str], rows: list[list]) -> str:
@@ -361,12 +364,18 @@ def cmd_inner_product(args) -> dict[Path, str]:
         for k, (a, b) in enumerate(_eligible_pairs(matrix, args.pairs, args.min_overlap, rng)):
             x, y = matrix.dense_rows([a, b])
             support = np.flatnonzero(x)  # the tree needs only row a's support: zeros are never drawn
-            report = estimate_inner_product(
-                WeightedVectorTree(x[support], args.p), y[support], args.epsilon, args.delta,
-                stream(args.seed, k), compute_scale=False,
-            )
-            scale1 = error_scale(x, y, 1.0)
-            scale2 = error_scale(x, y, 2.0)
+            try:
+                # overflow is reported once, as the DataError below or from _json
+                with np.errstate(over="ignore", invalid="ignore"):
+                    report = estimate_inner_product(
+                        WeightedVectorTree(x[support], args.p), y[support], args.epsilon, args.delta,
+                        stream(args.seed, k), compute_scale=False,
+                    )
+                    scale1 = error_scale(x, y, 1.0)
+                    scale2 = error_scale(x, y, 2.0)
+                    inner = float(x @ y)
+            except ValueError as exc:
+                raise DataError(f"rows {a} and {b}: {exc}") from exc
             if scale1 == 0.0:
                 raise DataError(f"rows {a} and {b}: the p = 1 error scale underflows to zero")
             records.append(
@@ -374,7 +383,7 @@ def cmd_inner_product(args) -> dict[Path, str]:
                     "row_a": a,
                     "row_b": b,
                     "overlap": _overlap(matrix, a, b),
-                    "true_inner_product": float(x @ y),
+                    "true_inner_product": inner,
                     "estimate": report.estimate,
                     "total_samples": report.total_samples,
                     "scale_p1": scale1,

@@ -140,8 +140,10 @@ class CombinationSampler:
     """Reusable rejection sampler for one (matrix structure, coefficients) pair.
 
     Construction performs the proposal setup and tabulates the acceptance
-    ratio of every row.  The proposal tree is built over the weights
-    ``|x_j|^p ||A^(j)||_p^p``, from n coefficient and n column-norm queries.
+    ratio of every row.  The proposal tree is a p = 1 tree over the weights
+    ``|x_j|^p ||A^(j)||_p^p``, from n coefficient and n column-norm queries; its
+    build rejects a non-finite coefficient (the weights' sum is then inf or nan),
+    and weights that are all zero raise :class:`EmptyDistributionError`.
     The ratios come from one pass over the tree's leaves, the same order of
     work as the tree build: the denominators are ``n^(p-1) * (|x|^p @ leaves)``
     and need no power, and only the m numerators ``|(Ax)_i|^p`` take one.
@@ -160,14 +162,11 @@ class CombinationSampler:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (n,):
             raise ValueError(f"coefficients must have length {n}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("coefficients must be finite")
 
         x_powers = _magnitudes(x, p)
-        weights = x_powers * matrix_tree.column_pnorm_powers()
-        if not np.any(weights > 0):
+        self._proposal_tree = WeightedVectorTree(x_powers * matrix_tree.column_pnorm_powers(), 1.0)
+        if self._proposal_tree.query_pnorm_power() == 0.0:
             raise EmptyDistributionError("every term x_j * column_j is zero")
-        self._proposal_tree = WeightedVectorTree._from_magnitudes(weights, (weights > 0).astype(np.int8), p)
         self._n = n
         if expected_iterations is not None:
             self._cap = 10_000 * max(1, math.ceil(expected_iterations))

@@ -59,7 +59,7 @@ def _capacity_for(n: int) -> int:
 
 def _check_exponent(p: float) -> float:
     p = float(p)
-    if not math.isfinite(p) or p < 1.0:
+    if not 1.0 <= p < math.inf:  # nan compares false
         raise ValueError(f"exponent p must be finite and >= 1, got {p}")
     return p
 
@@ -138,33 +138,13 @@ class WeightedVectorTree:
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 1:
             raise ValueError("expected a one-dimensional sequence of values")
-        if values.size == 0:
-            raise ValueError("cannot build a tree over an empty vector")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("input values must all be finite")
         self._init_storage(values.size, _check_exponent(p))
         self._fill(values)
 
-    @classmethod
-    def _from_magnitudes(cls, magnitudes, signs, p: float) -> "WeightedVectorTree":
-        """Build directly from ``|x_i|**p`` leaves (internal and test use)."""
-        magnitudes = np.asarray(magnitudes, dtype=np.float64)
-        signs = np.asarray(signs, dtype=np.int8)
-        if magnitudes.ndim != 1 or magnitudes.size == 0:
-            raise ValueError("expected a non-empty one-dimensional magnitude array")
-        if magnitudes.shape != signs.shape:
-            raise ValueError("magnitudes and signs must have matching length")
-        if not np.all(np.isfinite(magnitudes)) or np.any(magnitudes < 0):
-            raise ValueError("leaf magnitudes must be finite and nonnegative")
-        if np.any((signs == 0) != (magnitudes == 0.0)):
-            raise ValueError("sign must be zero exactly where the magnitude is zero")
-        tree = cls.__new__(cls)
-        tree._init_storage(magnitudes.size, _check_exponent(p))
-        tree._fill(magnitudes, signs)
-        return tree
-
     def _init_storage(self, n: int, p: float) -> None:
         """Allocate zeroed nodes and signs for n entries; :meth:`_fill` writes them."""
+        if n == 0:
+            raise ValueError("cannot build a tree over an empty vector")
         capacity = _capacity_for(n)
         self._p = p
         self._n = n
@@ -180,7 +160,8 @@ class WeightedVectorTree:
         """Write the leaves and signs of a fresh heap (``values`` as magnitudes if
         ``signs`` is given, else ``|values|**p`` and ``sign(values)``), then sum it.
         Each pass writes into the node array, which ``values`` may be; the power
-        runs over the contiguous leaves, so its bits are :func:`_magnitudes`'."""
+        runs over the contiguous leaves, so its bits are :func:`_magnitudes`'.
+        The root is the one value checked: a nan, inf or overflowing sum reaches it."""
         leaves = self.leaf_magnitudes
         if signs is not None:
             leaves[...], self._signs[...] = values, signs
@@ -188,12 +169,13 @@ class WeightedVectorTree:
             # sign(-0.0) casts to int8 zero; in blocks, as a cast buffers 64 KiB a call
             for a in range(0, values.size, _BLOCK):
                 np.sign(values[a : a + _BLOCK], out=self._signs[a : a + _BLOCK], casting="unsafe")
-            if math.isinf(_magnitudes(values, self._p, out=leaves).max()):
-                raise ValueError("|value|**p overflows for some entry")
+            _magnitudes(values, self._p, out=leaves)
             # |value|**p can underflow to zero (never at p = 1); such entries carry zero weight
             if self._p != 1.0 and np.count_nonzero(leaves) != np.count_nonzero(self._signs):
                 self._signs[leaves == 0.0] = 0
         self.rebuild()
+        if not math.isfinite(self._view[1]):
+            raise ValueError(f"the root sum_i |x_i|**p is {self._view[1]}: values and their sum must be finite")
 
     # -- read access ---------------------------------------------------------
 
@@ -371,15 +353,14 @@ class WeightedVectorTree:
     # -- mutation ------------------------------------------------------------
 
     def update_entry(self, i: int, value: float) -> None:
-        """Set entry i to ``value`` and refresh the sums along its root path."""
+        """Set entry i to ``value`` and refresh the sums along its root path; raise
+        ``ValueError`` and leave the tree as it was if the root would not be finite."""
         _check_index(i, self._n)
         self._set(i, value)
 
     def _set(self, i: int, value: float) -> None:
         """:meth:`update_entry` for an index already checked."""
         value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(f"entry value must be finite, got {value}")
         if self._p == 1.0:
             mag = abs(value)
         elif self._p == 2.0:
@@ -390,15 +371,10 @@ class WeightedVectorTree:
             # The p = 1 and p = 2 branches are already bit-identical to it and keep
             # the scalar path, about 0.9 us against 3.4 us for a one-element array.
             mag = float(_magnitudes(np.array([value]), self._p)[0])
-        if math.isinf(mag):
-            raise ValueError(f"|value|**p overflows for {value}")
-        if mag == 0.0:
-            sign = 0
-        else:
-            sign = 1 if value > 0 else -1
-        self._signs[i] = sign
+        sign = 0 if mag == 0.0 else 1 if value > 0 else -1
         nodes = self._view
         leaf = self._leaf0 + i
+        old = nodes[leaf]
         nodes[leaf] = mag
         idx = self._capacity + i
         visits = 1
@@ -416,6 +392,11 @@ class WeightedVectorTree:
             nodes[idx] = mag
             visits += 1
         self.last_op_visits = visits
+        if not math.isfinite(mag):  # mag is now the root
+            nodes[self._leaf0 + i] = old
+            self.rebuild()  # each sum from its children again: the bits before this update, in O(n)
+            raise ValueError(f"entry {value} would make the root {mag}; it must stay finite")
+        self._signs[i] = sign
 
     def _children(self, from_root: bool, spare: np.ndarray):
         """Yield ``(a, b, children)`` level by level: runs of at most ``_BLOCK`` stored
@@ -487,7 +468,15 @@ class WeightedVectorTree:
             raise ValueError(f"expected {expected} bytes for n={n}, got {len(buf)}")
         signs = np.frombuffer(buf, dtype=np.int8, count=n, offset=head)
         mags = np.frombuffer(buf, dtype="<f8", count=n, offset=head + n)
-        return cls._from_magnitudes(mags, signs, p)
+        # the bytes come from outside: a nan or inf leaf is caught at the root, by _fill
+        if np.any(mags < 0):
+            raise ValueError("leaf magnitudes must be nonnegative")
+        if np.any((signs == 0) != (mags == 0.0)):
+            raise ValueError("sign must be zero exactly where the magnitude is zero")
+        tree = cls.__new__(cls)
+        tree._init_storage(n, _check_exponent(p))
+        tree._fill(mags, signs)
+        return tree
 
     def __reduce__(self):
         # copy and pickle go through the flat layout, as a memoryview cannot be pickled
@@ -516,8 +505,6 @@ class WeightedMatrixTree:
         m, n = entries.shape
         if m == 0 or n == 0:
             raise ValueError("matrix must have at least one row and one column")
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("input values must all be finite")
         stride = _capacity_for(m)
         self._tree = tree = WeightedVectorTree.__new__(WeightedVectorTree)
         tree._init_storage(n * stride, _check_exponent(p))

@@ -271,6 +271,22 @@ class TestInnerProduct:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
 
+    @pytest.mark.parametrize("p", [2, 1])
+    def test_overflowing_entry_is_data_error(self, tmp_path, capsys, p):
+        # at p = 2 the tree over row a cannot be built (|x|^2 overflows); at p = 1 it
+        # can, but the report would hold inf and nan, which strict JSON cannot
+        mtx = tmp_path / "big.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate real general\n2 2 4\n"
+                       "1 1 1e200\n1 2 1e200\n2 1 1e200\n2 2 1e200\n")
+        out = tmp_path / "ip.json"
+        code = run(["inner-product", "--matrix", mtx, "--p", p, "--pairs", 1, "--min-overlap", 1,
+                    "--out", out])
+        assert code == EXIT_DATA
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "finite" in lines[0]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["big.mtx"]
+
     def test_synthetic_source(self, tmp_path):
         out = tmp_path / "ip.json"
         assert run(

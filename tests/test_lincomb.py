@@ -62,6 +62,7 @@ class TestExactM:
             ([[math.inf, 1.0]], [0.0, 1.0]),
             ([[math.nan, 1.0]], [1.0, 1.0]),
             ([[1.0, 0.0]], [1.0, math.inf]),
+            ([[1.0, 1.0]], [math.nan, math.nan]),
         ],
     )
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -69,8 +70,9 @@ class TestExactM:
     def test_non_finite_and_overflow_rejected(self, A, x):
         with pytest.raises(ValueError):
             exact_m(A, x, 2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as caught:
             CombinationSampler(build_matrix_tree(A, 2.0), x)
+        assert not isinstance(caught.value, EmptyDistributionError)
 
     def test_grid_equals_one_p_oracle_bit_for_bit(self):
         rng = stream(56, 0)

@@ -44,6 +44,7 @@ class TestBuild:
         expected = float(mpmath.power(5, mpmath.mpf(3) / 2))
         assert tree.query_pnorm_power() == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in sign:RuntimeWarning")
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             build_vector_tree([], 1)
@@ -55,6 +56,12 @@ class TestBuild:
             build_vector_tree([1.0], 0.5)
         with pytest.raises(ValueError):
             build_vector_tree([1.0], math.inf)
+        # finite leaves whose sum overflows: the root would be inf
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError):
+                build_vector_tree([1e308] * 4, 1)
+            with pytest.raises(ValueError):
+                build_matrix_tree(np.full((2, 2), 1e154), 2)
 
     def test_negative_zero_canonicalized(self):
         tree = build_vector_tree([-0.0, 1.0], 1)
@@ -316,6 +323,16 @@ class TestUpdate:
             tree.update_entry(2, 1.0)
         with pytest.raises(ValueError):
             tree.update_entry(0, math.nan)
+        # a rejected update, nan, inf or one whose sum overflows, leaves the tree's bits as they were
+        tree = build_vector_tree([1e308, 1.0], 1)
+        mt = build_matrix_tree([[1e308], [1.0]], 1)
+        for update, twin in ((lambda v: tree.update_entry(1, v), tree), (lambda v: mt.update_entry(1, 0, v), mt._tree)):
+            before, nodes = twin.to_bytes(), twin._nodes.tobytes()
+            for v in (1e308, math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    update(v)
+                assert twin.to_bytes() == before and twin._nodes.tobytes() == nodes
+                twin.audit()
 
     @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
     def test_bool_indices_rejected(self, flag):
@@ -657,6 +674,12 @@ class TestSerialization:
         tree = build_vector_tree([1, 2], 1)
         with pytest.raises(ValueError):
             WeightedVectorTree.from_bytes(tree.to_bytes()[:-1])
+        # a buffer of the right length is still checked: each of these leaves raises
+        for bad in (math.inf, math.nan, -1.0, 0.0):
+            buf = bytearray(tree.to_bytes())
+            struct.pack_into("<d", buf, len(buf) - 8, bad)
+            with pytest.raises(ValueError):
+                WeightedVectorTree.from_bytes(bytes(buf))
 
 
 def column_probabilities(mt):
