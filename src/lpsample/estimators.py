@@ -46,10 +46,14 @@ def mom_counts(epsilon: float, delta: float) -> tuple[int, int]:
 
 
 def _median_of_means(values: np.ndarray, groups: int, per_group: int) -> float:
+    """Lower median of the group means; raise ``ValueError`` unless it is finite."""
     means = values.reshape(groups, per_group).mean(axis=1)
     means.sort()
     # lower median keeps the output deterministic for even group counts
-    return float(means[(groups - 1) // 2])
+    estimate = float(means[(groups - 1) // 2])
+    if not math.isfinite(estimate):
+        raise ValueError(f"the estimate {estimate} is not finite: a weighted sample overflowed")
+    return estimate
 
 
 def _side(values, size: int, name: str) -> np.ndarray:
@@ -78,11 +82,12 @@ def _draw_weights(tree: WeightedVectorTree, epsilon: float, delta: float, rng: n
     at x_i = 0) and their weights ``||x||_p^p * sgn(x_i) * |x_i|**(1-p)``."""
     groups, per_group = mom_counts(epsilon, delta)
     idx = tree.sample_indices(rng, groups * per_group)  # raises EmptyDistributionError at x = 0
-    weights = tree.query_pnorm_power() * tree.leaf_signs[idx]
+    leaves = tree._leaves[idx]  # sgn(x_i) * |x_i|**p, never zero at a drawn index
+    weights = np.copysign(tree.query_pnorm_power(), leaves)
     p = tree.p
     if p != 1.0:
         # at p = 1 no per-sample power: the weight is sgn(x_i) * ||x||_1
-        weights *= tree.leaf_magnitudes[idx] ** ((1.0 - p) / p)
+        weights *= np.abs(leaves, out=leaves) ** ((1.0 - p) / p)
     return groups, per_group, idx, weights
 
 

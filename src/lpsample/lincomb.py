@@ -145,7 +145,7 @@ class CombinationSampler:
     build rejects a non-finite coefficient (the weights' sum is then inf or nan),
     and weights that are all zero raise :class:`EmptyDistributionError`.
     The ratios come from one pass over the tree's leaves, the same order of
-    work as the tree build: the denominators are ``n^(p-1) * (|x|^p @ leaves)``
+    work as the tree build: the denominators are ``n^(p-1) * (|x|^p @ |leaves|)``
     and need no power, and only the m numerators ``|(Ax)_i|^p`` take one.
     Rows that no proposal can reach get ratio 0.  Each :meth:`sample`
     iteration then costs one column draw, one row draw and one table read.
@@ -173,10 +173,10 @@ class CombinationSampler:
         else:
             self._cap = _DEFAULT_ITERATION_CAP
 
-        # the module docstring's r_i for every row, over (n, m) views of the leaves
-        leaves, signs = matrix_tree._columns()
-        denominators = n ** (p - 1.0) * (x_powers @ leaves)
-        numerators = _magnitudes(x @ _signed_values(leaves, signs, p), p)
+        # the module docstring's r_i for every row, over the (n, m) view of the signed leaves
+        leaves = matrix_tree._columns()
+        denominators = n ** (p - 1.0) * (x_powers @ np.abs(leaves))
+        numerators = _magnitudes(x @ _signed_values(leaves, p), p)
         if not (np.all(np.isfinite(denominators)) and np.all(np.isfinite(numerators))):
             raise ValueError(_NOT_FINITE)
         self._ratios = np.zeros(m)

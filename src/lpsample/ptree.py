@@ -1,16 +1,18 @@
 """Array-backed weighted binary trees for p-norm index sampling.
 
-A vector tree stores ``|x_i|**p`` at its leaves together with ``sign(x_i)``,
-and every internal node holds the sum of its two children, so the root equals
-``sum_i |x_i|**p``; the nodes form a 1-based heap (root 1, children ``2v`` and
-``2v + 1``), except that the level above the leaves is not stored: a node there
-reads as the sum of its two leaves, the bits a stored node would hold.
+A vector tree stores ``sign(x_i) * |x_i|**p`` at its leaves, the sign in the
+sign bit that a weight leaves free (at p = 1 a leaf is ``x_i + 0.0`` itself),
+and every internal node holds the sum of its children's weights ``|leaf|``, so
+the root equals ``sum_i |x_i|**p``; the nodes form a 1-based heap (root 1,
+children ``2v`` and ``2v + 1``), except that the level above the leaves is not
+stored: a node there reads as the sum of its two leaves' weights, the bits a
+stored node would hold.
 Sampling an index with probability ``|x_i|**p / root``, updating one entry, and
 reading an entry or the root are all O(log n); these scalar operations walk a
 memoryview of the node buffer, on Python floats, and an update recomputes each
-stored ancestor from its children.  A build holds the caller's input, the node
-array and the int8 signs: it writes both straight into the leaf slots, then
-sums each stored level in fixed-size blocks.
+stored ancestor from its children.  A tree is one float64 array: a build holds
+the caller's input and that array, writes the signed leaves straight into their
+slots, then sums each stored level in fixed-size blocks.
 Every draw, scalar or batched, is one inverse-CDF descent of one uniform, so a
 stream gives the same indices one at a time as in a batch.
 
@@ -31,7 +33,6 @@ per-worker random stream.
 from __future__ import annotations
 
 import math
-import struct
 
 import numpy as np
 
@@ -84,13 +85,16 @@ def _magnitudes(values: np.ndarray, p: float, out: np.ndarray | None = None) -> 
     return mags
 
 
-def _signed_values(magnitudes: np.ndarray, signs: np.ndarray, p: float) -> np.ndarray:
-    """Signed entries ``sign * magnitude**(1/p)`` from leaves, as a new array."""
+def _signed_values(leaves: np.ndarray, p: float) -> np.ndarray:
+    """Signed entries ``sign * |leaf|**(1/p)`` from signed leaves, as a new array."""
     if p == 1.0:
-        return magnitudes * signs
-    values = np.sqrt(magnitudes) if p == 2.0 else magnitudes ** (1.0 / p)
-    values *= signs  # in place: the root already made a new array
-    return values
+        return leaves.copy()
+    values = np.abs(leaves)
+    if p == 2.0:
+        np.sqrt(values, out=values)
+    else:
+        values **= 1.0 / p
+    return np.copysign(values, leaves, out=values)
 
 
 def _apart(like: np.ndarray) -> np.ndarray:
@@ -107,6 +111,9 @@ def _apart(like: np.ndarray) -> np.ndarray:
 
 
 _BLOCK = 1 << 11  # nodes a rebuild or audit pass sums at once: 16 KiB rows
+# leaves a build at p != 1 writes at once, through one 128 KiB buffer; at 2^20
+# leaves, p = 1.5, it builds in about 0.85x the time of _BLOCK-long runs
+_FILL_BLOCK = 1 << 14
 
 
 def _go_right(u: np.ndarray, left: np.ndarray, go_right: np.ndarray) -> np.ndarray:
@@ -120,19 +127,19 @@ def _go_right(u: np.ndarray, left: np.ndarray, go_right: np.ndarray) -> np.ndarr
 
 
 class WeightedVectorTree:
-    """Complete binary tree over ``|x_i|**p`` with signs, padded to a power of two.
+    """Complete binary tree over signed leaves ``sign(x_i) * |x_i|**p``, padded to a power of two.
 
     Entry indices are 0-based and heap nodes 1-based: the root is node 1,
     node v has children ``2v`` and ``2v + 1``, and entry i's leaf is node
     ``capacity + i``; padding leaves are zero and can never be sampled.
     ``_nodes`` holds nodes ``0 .. _leaf0 - 1`` (slot 0 unused and zero), then
     the leaves.  ``_leaf0`` is ``capacity // 2``, leaving out the level above
-    the leaves (12 bytes of nodes and a sign byte a leaf slot), unless that
-    level is the root (capacity 1 or 2, ``_leaf0 = capacity``).
+    the leaves (12 bytes a leaf slot), unless that level is the root
+    (capacity 1 or 2, ``_leaf0 = capacity``).  No node is ``-0.0``.
     ``last_op_visits`` counts the nodes the last sample or update touched.
     """
 
-    __slots__ = ("_p", "_n", "_capacity", "_leaf0", "_depth", "_nodes", "_view", "_signs", "last_op_visits")
+    __slots__ = ("_p", "_n", "_capacity", "_leaf0", "_depth", "_nodes", "_view", "last_op_visits")
 
     def __init__(self, values, p: float):
         values = np.asarray(values, dtype=np.float64)
@@ -142,7 +149,7 @@ class WeightedVectorTree:
         self._fill(values)
 
     def _init_storage(self, n: int, p: float) -> None:
-        """Allocate zeroed nodes and signs for n entries; :meth:`_fill` writes them."""
+        """Allocate zeroed nodes for n entries; :meth:`_fill` writes them."""
         if n == 0:
             raise ValueError("cannot build a tree over an empty vector")
         capacity = _capacity_for(n)
@@ -153,29 +160,27 @@ class WeightedVectorTree:
         self._depth = capacity.bit_length() - 1
         self._nodes = np.zeros(self._leaf0 + capacity, dtype=np.float64)
         self._view = memoryview(self._nodes)  # shares _nodes' buffer; reads give floats
-        self._signs = np.empty(n, dtype=np.int8)
         self.last_op_visits = 0
 
-    def _fill(self, values: np.ndarray, signs: np.ndarray | None = None) -> None:
-        """Write the leaves and signs of a fresh heap (``values`` as magnitudes if
-        ``signs`` is given, else ``|values|**p`` and ``sign(values)``), then sum it.
-        Each pass writes into the node array, which ``values`` may be; the power
-        runs over the contiguous leaves, so its bits are :func:`_magnitudes`'.
-        The root is the one value checked: a nan, inf or overflowing sum reaches it."""
-        leaves = self.leaf_magnitudes
-        if signs is not None:
-            leaves[...], self._signs[...] = values, signs
+    def _fill(self, values: np.ndarray) -> None:
+        """Write the leaves ``copysign(|values|**p, values) + 0.0`` of a fresh heap, then
+        sum it.  Adding 0.0 turns a ``-0.0`` entry, or one whose power underflows, into
+        ``+0.0``.  ``values`` may be the leaves themselves; the power runs over contiguous
+        blocks, so its bits are :func:`_magnitudes`'.  The root is the one value
+        checked: a nan, inf or overflowing sum reaches it."""
+        leaves = self._leaves
+        if self._p == 1.0:
+            np.add(values, 0.0, out=leaves)
         else:
-            # sign(-0.0) casts to int8 zero; in blocks, as a cast buffers 64 KiB a call
-            for a in range(0, values.size, _BLOCK):
-                np.sign(values[a : a + _BLOCK], out=self._signs[a : a + _BLOCK], casting="unsafe")
-            _magnitudes(values, self._p, out=leaves)
-            # |value|**p can underflow to zero (never at p = 1); such entries carry zero weight
-            if self._p != 1.0 and np.count_nonzero(leaves) != np.count_nonzero(self._signs):
-                self._signs[leaves == 0.0] = 0
+            mags = np.empty(min(_FILL_BLOCK, values.size))
+            for a in range(0, values.size, _FILL_BLOCK):
+                block, out = values[a : a + _FILL_BLOCK], leaves[a : a + _FILL_BLOCK]
+                np.copysign(_magnitudes(block, self._p, out=mags[: block.size]), block, out=out)
+                out += 0.0
         self.rebuild()
-        if not math.isfinite(self._view[1]):
-            raise ValueError(f"the root sum_i |x_i|**p is {self._view[1]}: values and their sum must be finite")
+        root = self.query_pnorm_power()
+        if not math.isfinite(root):
+            raise ValueError(f"the root sum_i |x_i|**p is {root}: values and their sum must be finite")
 
     # -- read access ---------------------------------------------------------
 
@@ -187,61 +192,58 @@ class WeightedVectorTree:
         return self._n
 
     @property
-    def leaf_magnitudes(self) -> np.ndarray:
-        """View of the n leaf values ``|x_i|**p`` (do not mutate)."""
+    def _leaves(self) -> np.ndarray:
+        """View of the n leaves ``sign(x_i) * |x_i|**p`` (do not mutate)."""
         return self._nodes[self._leaf0 : self._leaf0 + self._n]
-
-    @property
-    def leaf_signs(self) -> np.ndarray:
-        """View of the n entry signs in {-1, 0, +1} (do not mutate)."""
-        return self._signs
 
     def query_pnorm_power(self) -> float:
         """Root value, equal to the p-th power of the p-norm of the vector."""
-        return self._view[1]
+        return abs(self._view[1])  # at n = 1 the root is the one signed leaf
 
     def _node(self, v: int) -> float:
-        """Value of heap node v: stored, a leaf, or (on the level not stored) its leaf pair's sum."""
+        """Weight of heap node v: stored, ``|leaf|``, or (on the level not stored) its leaf pair's sum."""
         if v < self._leaf0:
             return self._view[v]
         if v >= self._capacity:
-            return self._view[v - self._capacity + self._leaf0]
+            return abs(self._view[v - self._capacity + self._leaf0])
         return self._node(2 * v) + self._node(2 * v + 1)
 
     def _node_values(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """:meth:`_node` of heap nodes ``v``, all on one level, into ``out`` or a new array."""
         if v.size and v[0] >= self._capacity:
-            return np.take(self._nodes[self._leaf0 :], v - self._capacity, out=out, mode="clip")
+            leaves = np.take(self._nodes[self._leaf0 :], v - self._capacity, out=out, mode="clip")
+            return np.abs(leaves, out=leaves)
         if v.size and v[0] >= self._leaf0:
             return np.add(self._node_values(2 * v), self._node_values(2 * v + 1), out=out)
         return np.take(self._nodes, v, out=out, mode="clip")
 
     def query_entry(self, i: int) -> float:
-        """Signed entry ``sign_i * magnitude_i**(1/p)``."""
+        """Signed entry ``x_i``, read as ``sign(leaf) * |leaf|**(1/p)``."""
         _check_index(i, self._n)
         return self._entry(i)
 
     def _entry(self, i: int) -> float:
         leaf = self._leaf0 + i
-        mag = self._view[leaf]
-        s = int(self._signs[i])
+        value = self._view[leaf]
         if self._p == 1.0:
-            return s * mag
+            return value
         if self._p == 2.0:
-            return s * math.sqrt(mag)
+            return math.copysign(math.sqrt(abs(value)), value)
         # one-element slices take entries()' NumPy routine; see update_entry
-        return float(_signed_values(self._nodes[leaf : leaf + 1], self._signs[i : i + 1], self._p)[0])
+        return float(_signed_values(self._nodes[leaf : leaf + 1], self._p)[0])
 
     def entries(self) -> np.ndarray:
         """All signed entries reconstructed from the leaves, as a new array."""
-        return _signed_values(self.leaf_magnitudes, self._signs, self._p)
+        return _signed_values(self._leaves, self._p)
 
     def probabilities(self) -> np.ndarray:
         """Sampling distribution over indices, ``|x_i|**p / root``."""
-        root = self._view[1]
+        root = self.query_pnorm_power()
         if root <= 0.0:
             raise EmptyDistributionError("all entries are zero")
-        return self.leaf_magnitudes / root
+        weights = np.abs(self._leaves)
+        weights /= root
+        return weights
 
     # -- sampling ------------------------------------------------------------
 
@@ -252,9 +254,10 @@ class WeightedVectorTree:
         it is at least the left child's value and subtracting that value as
         it goes (see :meth:`_descend`).
         """
-        if self._view[1] <= 0.0:
+        root = abs(self._view[1])  # query_pnorm_power(), without the call
+        if root <= 0.0:
             raise EmptyDistributionError("all entries are zero")
-        index = self._descend(rng, 1, self._depth, self._view[1])
+        index = self._descend(rng, 1, self._depth, root)
         self.last_op_visits = self._depth + 1
         return index
 
@@ -265,7 +268,7 @@ class WeightedVectorTree:
         give, except when rounding lands a draw on a zero leaf, which is made
         again at the end of the batch (see :meth:`_descend_many`).
         """
-        root = self._view[1]
+        root = self.query_pnorm_power()
         if root <= 0.0:
             raise EmptyDistributionError("all entries are zero")
         return self._descend_many(rng, np.ones(size, dtype=np.int64), self._depth, root)
@@ -291,12 +294,12 @@ class WeightedVectorTree:
                     node += 1
             leaf = (node << (2 if levels >= 2 else levels)) - shift  # the first leaf below
             if levels >= 2:  # the level not stored: the left child is a leaf pair
-                left = nodes[leaf] + nodes[leaf + 1]
+                left = abs(nodes[leaf]) + abs(nodes[leaf + 1])
                 if u >= left:
                     u -= left
                     leaf += 2
             if levels:
-                left = nodes[leaf]
+                left = abs(nodes[leaf])
                 if u >= left:
                     u -= left
                     leaf += 1
@@ -315,7 +318,7 @@ class WeightedVectorTree:
         rule one draw at a time.  The caller hands over ``start`` (heap nodes
         on one level), which is walked in place, and ``weight``, the start
         nodes' values (an array, or one float for one start node), checked to
-        be positive.  The last two levels read the leaves.
+        be positive.  The last two levels read the leaves, as weights ``|leaf|``.
 
         ``mode="clip"`` skips the bounds check and buffered output of
         ``mode="raise"`` and never clips: a start node ``levels`` levels up,
@@ -336,12 +339,13 @@ class WeightedVectorTree:
         idx <<= min(levels, 2)
         idx -= cap  # the entry index of the first leaf below
         if levels >= 2:  # the level not stored: the left child is a leaf pair
-            np.take(leaves, idx, out=left, mode="clip")
-            np.add(left, np.take(leaves[1:], idx, out=_apart(idx), mode="clip"), out=left)
+            right = np.take(leaves[1:], idx, out=_apart(idx), mode="clip")
+            np.abs(np.take(leaves, idx, out=left, mode="clip"), out=left)
+            np.add(left, np.abs(right, out=right), out=left)
             idx += _go_right(u, left, go_right)
             idx += go_right
         if levels:
-            np.take(leaves, idx, out=left, mode="clip")
+            np.abs(np.take(leaves, idx, out=left, mode="clip"), out=left)
             idx += _go_right(u, left, go_right)
         np.take(leaves, idx, out=left, mode="clip")
         stray = np.flatnonzero(left == 0.0)
@@ -371,21 +375,25 @@ class WeightedVectorTree:
             # The p = 1 and p = 2 branches are already bit-identical to it and keep
             # the scalar path, about 0.9 us against 3.4 us for a one-element array.
             mag = float(_magnitudes(np.array([value]), self._p)[0])
-        sign = 0 if mag == 0.0 else 1 if value > 0 else -1
         nodes = self._view
         leaf = self._leaf0 + i
         old = nodes[leaf]
-        nodes[leaf] = mag
+        nodes[leaf] = math.copysign(mag, value) + 0.0  # the leaf _fill writes
         idx = self._capacity + i
         visits = 1
         # carry the sum just written up the path: each ancestor is its two children's
         # sum (IEEE addition commutes, so the bits are left + right), never a drifting delta
         if leaf != idx:  # the parent is not stored: the grandparent sums its leaf quad
             leaf -= i & 3
-            mag = (nodes[leaf] + nodes[leaf + 1]) + (nodes[leaf + 2] + nodes[leaf + 3])
+            mag = (abs(nodes[leaf]) + abs(nodes[leaf + 1])) + (abs(nodes[leaf + 2]) + abs(nodes[leaf + 3]))
             idx >>= 2
             nodes[idx] = mag
             visits = 3
+        elif idx > 1:  # capacity 2: the root sums the two leaves
+            mag += abs(nodes[idx ^ 1])
+            idx = 1
+            nodes[1] = mag
+            visits = 2
         while idx > 1:
             mag += nodes[idx ^ 1]  # the sibling
             idx >>= 1
@@ -396,44 +404,50 @@ class WeightedVectorTree:
             nodes[self._leaf0 + i] = old
             self.rebuild()  # each sum from its children again: the bits before this update, in O(n)
             raise ValueError(f"entry {value} would make the root {mag}; it must stay finite")
-        self._signs[i] = sign
 
     def _children(self, from_root: bool, spare: np.ndarray):
-        """Yield ``(a, b, children)`` level by level: runs of at most ``_BLOCK`` stored
-        nodes ``a .. b - 1`` and their children's values, interleaved; below the level
-        not stored, leaf-pair sums written to ``spare`` (twice a block long)."""
+        """Yield ``(a, b, children)`` level by level: runs of stored nodes ``a .. b - 1``
+        and their children's values, interleaved.  Runs are at most ``_BLOCK`` long,
+        half that on the lowest stored level, whose children's weights are written to
+        ``spare`` (twice a block long): ``|leaf|``, or below the level not stored,
+        leaf-pair sums ``|left| + |right|``."""
         nodes, leaf0 = self._nodes, self._leaf0
         shift = self._capacity - leaf0
         sizes = [1 << k for k in range(leaf0.bit_length() - 1)]
         for size in sizes if from_root else sizes[::-1]:
-            for a in range(size, 2 * size, _BLOCK):
-                b = min(a + _BLOCK, 2 * size)
-                if 2 * a < leaf0 or not shift:
+            lowest = 2 * size >= leaf0
+            step = _BLOCK // 2 if lowest else _BLOCK
+            for a in range(size, 2 * size, step):
+                b = min(a + step, 2 * size)
+                k = 2 * (b - a)
+                if not lowest:
                     yield a, b, nodes[2 * a : 2 * b]
+                elif not shift:
+                    yield a, b, np.abs(nodes[2 * a : 2 * b], out=spare[:k])
                 else:
                     leaves = nodes[4 * a - shift : 4 * b - shift]
-                    yield a, b, np.add(leaves[::2], leaves[1::2], out=spare[: 2 * (b - a)])
+                    pairs = np.abs(leaves[::2], out=spare[:k])
+                    pairs += np.abs(leaves[1::2], out=spare[k : 2 * k])
+                    yield a, b, pairs
 
     def rebuild(self) -> None:
         """Recompute every stored internal sum bottom-up from the leaves, a block at a time."""
-        for a, b, children in self._children(False, np.empty(min(2 * _BLOCK, self._leaf0))):
+        for a, b, children in self._children(False, np.empty(min(2 * _BLOCK, 2 * self._leaf0))):
             np.add(children[::2], children[1::2], out=self._nodes[a:b])
 
     def audit(self, rel_tol: float = 1e-9) -> None:
         """Check structural invariants; raise :class:`TreeAuditError` on failure."""
         nodes = self._nodes
-        mags = self.leaf_magnitudes
-        # no n-sized temporaries: min and max carry any nan or inf, count_nonzero
-        # counts in place, and the zero patterns are compared a block at a time
-        if mags.min() < 0 or not (math.isfinite(nodes.min()) and math.isfinite(nodes.max())):
-            raise TreeAuditError("leaf magnitudes must be finite and nonnegative")
+        # no n-sized temporaries: min and max carry any nan or inf, and -0.0, whose
+        # bits are the sign bit alone, is the one float that reads as the least int64
+        if not (math.isfinite(nodes.min()) and math.isfinite(nodes.max())) or nodes[: self._leaf0].min() < 0:
+            raise TreeAuditError("the sums must be finite and nonnegative, and the leaves finite")
+        if nodes.view(np.int64).min() == np.iinfo(np.int64).min:
+            raise TreeAuditError("no node may be -0.0: a zero leaf is +0.0")
         if nodes[0] != 0.0 or np.count_nonzero(nodes[self._leaf0 + self._n :]):
             raise TreeAuditError("slot 0 and the padding leaves must stay zero")
-        for a in range(0, self._n, _BLOCK):
-            if np.any((self._signs[a : a + _BLOCK] == 0) != (mags[a : a + _BLOCK] == 0.0)):
-                raise TreeAuditError("sign/magnitude zero pattern mismatch")
         # block by block from the root, so the first bad node found has the lowest heap
-        # index; the work rows (sums, tolerances, gaps, two of leaf-pair sums) hold a block
+        # index; the work rows (sums, tolerances, gaps, two of leaf weights) hold a block
         work, bad = np.empty((5, _BLOCK)), np.empty(_BLOCK, dtype=bool)
         for a, b, children in self._children(True, work[3:].reshape(-1)):
             parents = nodes[a:b]
@@ -446,41 +460,6 @@ class WeightedVectorTree:
                 raise TreeAuditError(
                     f"node {a + k} holds {parents[k]!r} but its children sum to {sums[k]!r}"
                 )
-
-    # -- serialization -------------------------------------------------------
-
-    _HEADER = struct.Struct("<dQ")
-
-    def to_bytes(self) -> bytes:
-        """Flat layout: p (f64), n (u64), n sign bytes, n leaf magnitudes (f64)."""
-        header = self._HEADER.pack(self._p, self._n)
-        # one join over the arrays' buffers, so the output is the only full-size allocation
-        return b"".join((header, self._signs, self.leaf_magnitudes.astype("<f8", copy=False)))
-
-    @classmethod
-    def from_bytes(cls, buf: bytes) -> "WeightedVectorTree":
-        head = cls._HEADER.size
-        if len(buf) < head:
-            raise ValueError("buffer too short for tree header")
-        p, n = cls._HEADER.unpack_from(buf)
-        expected = head + n + 8 * n
-        if len(buf) != expected:
-            raise ValueError(f"expected {expected} bytes for n={n}, got {len(buf)}")
-        signs = np.frombuffer(buf, dtype=np.int8, count=n, offset=head)
-        mags = np.frombuffer(buf, dtype="<f8", count=n, offset=head + n)
-        # the bytes come from outside: a nan or inf leaf is caught at the root, by _fill
-        if np.any(mags < 0):
-            raise ValueError("leaf magnitudes must be nonnegative")
-        if np.any((signs == 0) != (mags == 0.0)):
-            raise ValueError("sign must be zero exactly where the magnitude is zero")
-        tree = cls.__new__(cls)
-        tree._init_storage(n, _check_exponent(p))
-        tree._fill(mags, signs)
-        return tree
-
-    def __reduce__(self):
-        # copy and pickle go through the flat layout, as a memoryview cannot be pickled
-        return (self.from_bytes, (self.to_bytes(),))
 
 
 class WeightedMatrixTree:
@@ -508,7 +487,7 @@ class WeightedMatrixTree:
         stride = _capacity_for(m)
         self._tree = tree = WeightedVectorTree.__new__(WeightedVectorTree)
         tree._init_storage(n * stride, _check_exponent(p))
-        leaves = tree.leaf_magnitudes
+        leaves = tree._leaves
         leaves.reshape(n, stride)[:, :m] = entries.T  # padding rows stay zero
         tree._fill(leaves)
         self._m = m
@@ -525,10 +504,9 @@ class WeightedMatrixTree:
     def shape(self) -> tuple[int, int]:
         return (self._m, self._n)
 
-    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """(n, m) views of the leaf magnitudes and signs: row j is column j, without its padding."""
-        tree, shape = self._tree, (self._n, self._stride)
-        return tree.leaf_magnitudes.reshape(shape)[:, : self._m], tree.leaf_signs.reshape(shape)[:, : self._m]
+    def _columns(self) -> np.ndarray:
+        """(n, m) view of the signed leaves: row j is column j, without its padding."""
+        return self._tree._leaves.reshape(self._n, self._stride)[:, : self._m]
 
     def column_pnorm_powers(self) -> np.ndarray:
         """All n column p-norm powers, as a new array."""
@@ -584,12 +562,12 @@ class WeightedMatrixTree:
 
     def dense(self) -> np.ndarray:
         """Signed entries reconstructed from the leaves, as a new (m, n) array."""
-        return _signed_values(*self._columns(), self.p).T
+        return _signed_values(self._columns(), self.p).T
 
     def audit(self, rel_tol: float = 1e-9) -> None:
         """Check the vector tree's invariants and that every padding row is zero."""
         self._tree.audit(rel_tol)
-        padding = self._tree.leaf_magnitudes.reshape(self._n, self._stride)[:, self._m :]
+        padding = self._tree._leaves.reshape(self._n, self._stride)[:, self._m :]
         if np.any(padding != 0.0):
             raise TreeAuditError("padding rows must stay zero")
 

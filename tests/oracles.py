@@ -6,6 +6,7 @@ paths it verifies.
 """
 
 import math
+import struct
 
 import numpy as np
 from scipy import integrate
@@ -150,17 +151,35 @@ def inverse_cdf_indices(weights, u):
 
 
 def full_heap(tree):
-    """The whole 1-based heap of ``2 * capacity`` slots that a vector tree's nodes stand for.
+    """The whole 1-based heap of ``2 * capacity`` weights that a vector tree's nodes stand for.
 
     Slot 0 is zero, node v has children ``2v`` and ``2v + 1``, and the leaves
-    are slots ``capacity ..``.  The tree stores the nodes below ``_leaf0`` and
-    the leaves; the level it leaves out is restored as its leaf pairs' sums.
+    are slots ``capacity ..``, each the magnitude ``|x_i|**p``.  The tree stores
+    the nodes below ``_leaf0`` and the signed leaves ``sign(x_i) * |x_i|**p``;
+    the level it leaves out is restored as its leaf pairs' sums.
     """
     cap, leaf0, nodes = tree._capacity, tree._leaf0, tree._nodes
     heap = np.zeros(2 * cap)
-    heap[:leaf0], heap[cap:] = nodes[:leaf0], nodes[leaf0:]
+    heap[:leaf0], heap[cap:] = nodes[:leaf0], np.abs(nodes[leaf0:])
     heap[leaf0:cap] = heap[2 * leaf0 :: 2] + heap[2 * leaf0 + 1 :: 2]
     return heap
+
+
+def leaf_magnitudes(tree):
+    """The n leaf weights ``|x_i|**p`` of a vector tree, as a new array."""
+    return np.abs(tree._nodes[tree._leaf0 : tree._leaf0 + len(tree)])
+
+
+def leaf_signs(tree):
+    """The n entry signs in {-1, 0, +1} of a vector tree, read from its signed leaves, as int8."""
+    return np.sign(tree._nodes[tree._leaf0 : tree._leaf0 + len(tree)]).astype(np.int8)
+
+
+def flat_layout(tree):
+    """A vector tree as sign and magnitude bytes: p (f64), n (u64), the n int8
+    signs, then the n f64 magnitudes, all little-endian."""
+    header = struct.pack("<dQ", tree.p, len(tree))
+    return header + leaf_signs(tree).tobytes() + leaf_magnitudes(tree).astype("<f8").tobytes()
 
 
 def heap_from_leaves(leaves, capacity):

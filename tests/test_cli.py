@@ -274,7 +274,7 @@ class TestInnerProduct:
     @pytest.mark.parametrize("p", [2, 1])
     def test_overflowing_entry_is_data_error(self, tmp_path, capsys, p):
         # at p = 2 the tree over row a cannot be built (|x|^2 overflows); at p = 1 it
-        # can, but the report would hold inf and nan, which strict JSON cannot
+        # can, but its estimate overflows to inf
         mtx = tmp_path / "big.mtx"
         mtx.write_text("%%MatrixMarket matrix coordinate real general\n2 2 4\n"
                        "1 1 1e200\n1 2 1e200\n2 1 1e200\n2 2 1e200\n")

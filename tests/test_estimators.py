@@ -106,6 +106,14 @@ class TestEstimateInnerProduct:
         rep = estimate_inner_product(tree, [1.0, 1.0], 0.2, 0.2, stream(5, 0), compute_scale=False)
         assert rep.error_scale is None
 
+    def test_overflowing_estimate_rejected(self):
+        # every weighted sample ||x||_1 * y_i is 2e200 * 1e200, past the largest float
+        big = [1e200, 1e200]
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="estimate inf is not finite"):
+            estimate_inner_product(build_vector_tree(big, 1.0), big, 0.2, 0.2, stream(7, 0))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="estimate inf is not finite"):
+            estimate_trace_inner_product(build_matrix_tree([big], 1.0), [1.0], big, 0.2, 0.2, stream(7, 1))
+
     @pytest.mark.parametrize("length", [1, 2, 5])
     def test_wrong_length_y_rejected_before_drawing(self, length):
         tree = build_vector_tree([1.0, -2.0, 3.0], 1.5)

@@ -1,8 +1,5 @@
-import copy
 import hashlib
 import math
-import pickle
-import struct
 import tracemalloc
 
 import numpy as np
@@ -14,7 +11,6 @@ from lpsample.ptree import (
     EmptyDistributionError,
     TreeAuditError,
     WeightedMatrixTree,
-    WeightedVectorTree,
     _BLOCK,
     _apart,
     build_matrix_tree,
@@ -22,19 +18,29 @@ from lpsample.ptree import (
 )
 from lpsample.randkit import stream
 
-from oracles import full_heap, heap_descent, heap_from_leaves, inverse_cdf_indices, tv_distance
+from oracles import (
+    flat_layout,
+    full_heap,
+    heap_descent,
+    heap_from_leaves,
+    inverse_cdf_indices,
+    leaf_magnitudes,
+    leaf_signs,
+    tv_distance,
+)
 
 
 class TestBuild:
     def test_p1_magnitudes_and_root(self):
         tree = build_vector_tree([1, -2, 3, 0], 1)
-        assert tree.leaf_magnitudes.tolist() == [1, 2, 3, 0]
-        assert tree.leaf_signs.tolist() == [1, -1, 1, 0]
+        assert tree._leaves.tolist() == [1, -2, 3, 0]
+        assert leaf_magnitudes(tree).tolist() == [1, 2, 3, 0]
+        assert leaf_signs(tree).tolist() == [1, -1, 1, 0]
         assert tree.query_pnorm_power() == 6
 
     def test_p2_magnitudes_and_root(self):
         tree = build_vector_tree([1, -2, 3, 0], 2)
-        assert tree.leaf_magnitudes.tolist() == [1, 4, 9, 0]
+        assert tree._leaves.tolist() == [1, -4, 9, 0]
         assert tree.query_pnorm_power() == 14
 
     def test_fractional_p_scalar(self):
@@ -44,7 +50,6 @@ class TestBuild:
         expected = float(mpmath.power(5, mpmath.mpf(3) / 2))
         assert tree.query_pnorm_power() == pytest.approx(expected, rel=1e-14)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in sign:RuntimeWarning")
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             build_vector_tree([], 1)
@@ -64,18 +69,26 @@ class TestBuild:
                 build_matrix_tree(np.full((2, 2), 1e154), 2)
 
     def test_negative_zero_canonicalized(self):
-        tree = build_vector_tree([-0.0, 1.0], 1)
-        assert tree.leaf_signs.tolist() == [0, 1]
-        assert tree.query_entry(0) == 0.0
+        x = np.array([-0.0, 1.0, -2.5, 0.0, -0.0])
+        tree = build_vector_tree(x, 1)
+        assert leaf_signs(tree).tolist() == [0, 1, -1, 0, 0]
+        assert tree._leaves.tobytes() == (x + 0.0).tobytes()  # at p = 1 the leaves are the entries
+        assert tree.query_entry(0) == 0.0 and not math.copysign(1.0, tree.query_entry(0)) < 0
+        tree.audit()
+        tree._nodes[tree._leaf0] = -0.0  # no sum changes: only the sign bit tells
+        with pytest.raises(TreeAuditError, match="-0.0"):
+            tree.audit()
 
 
 class TestBuildBitsGolden:
-    """sha256 of ``to_bytes()`` and of the whole heap for vector trees
-    (with -0.0, zeros and entries whose ``|x|**p`` underflows), matrix trees
-    and a ``from_bytes`` round trip: a build may change how it fills the
-    heap, never the bits it leaves there.  The heap is read through
-    :func:`full_heap`, so the digests recorded on the full 2 * capacity heap
-    also pin the nodes the tree stores."""
+    """sha256 of the sign and magnitude bytes (:func:`flat_layout`) and of the
+    whole heap for vector trees (with -0.0, zeros and entries whose ``|x|**p``
+    underflows) and matrix trees: a build may change how it fills the heap,
+    never the bits it leaves there.  The heap is read through :func:`full_heap`,
+    so the digests recorded on the full 2 * capacity heap also pin the nodes the
+    tree stores.  They were recorded with a third part per vector tree, the heap
+    and signs of a copy made through that byte layout, which kept every bit: the
+    tree's own heap and signs stand in for it."""
 
     GOLDEN = {
         1.0: "878a06f1f3325a8ea9f222a0243967eafe7fba3b71f6cce2eae23e400696bc87",
@@ -99,10 +112,9 @@ class TestBuildBitsGolden:
         digest = hashlib.sha256()
         for k, n in enumerate((1, 7, 8, 9, 4097, 65539)):
             tree = build_vector_tree(cls.vector(n, k), p)
-            digest.update(tree.to_bytes())
+            digest.update(flat_layout(tree))
             digest.update(full_heap(tree).tobytes())
-            clone = WeightedVectorTree.from_bytes(tree.to_bytes())
-            digest.update(full_heap(clone).tobytes() + clone._signs.tobytes())
+            digest.update(full_heap(tree).tobytes() + leaf_signs(tree).tobytes())
         if p in (1.5, 3.0):
             for k, (m, n) in enumerate(((7, 3), (300, 5))):
                 A = stream(92, k).normal(size=(m, n))
@@ -110,7 +122,7 @@ class TestBuildBitsGolden:
                 A[1::5, 0] = -0.0
                 A[2::7] = 1e-110
                 mt = build_matrix_tree(A, p)
-                digest.update(mt._tree.to_bytes())
+                digest.update(flat_layout(mt._tree))
                 digest.update(full_heap(mt._tree).tobytes())
         return digest.hexdigest()
 
@@ -121,11 +133,17 @@ class TestBuildBitsGolden:
     @pytest.mark.parametrize("p", sorted(GOLDEN))
     def test_zero_weight_entries_have_zero_sign(self, p):
         x = self.vector(65539, 5)
+        x[-1] = -5e-324  # a negative entry whose |x|**p underflows at p > 1
         tree = build_vector_tree(x, p)
-        zero = tree.leaf_magnitudes == 0.0
-        assert np.array_equal(tree.leaf_signs == 0, zero)
+        zero = tree._leaves == 0.0
         assert zero[:4].tolist() == [True, True, p == 3.0, p >= 2.0]
-        assert zero[4] == (p >= 1.5)
+        assert zero[4] == zero[-1] == (p >= 1.5)
+        # every zero leaf, underflowed or not, is +0.0 and reads as +0.0
+        assert not np.signbit(tree._leaves[zero]).any()
+        read = np.array([tree.query_entry(i) for i in np.flatnonzero(zero)])
+        assert read.tobytes() == tree.entries()[zero].tobytes() == np.zeros(read.size).tobytes()
+        if p == 1.0:
+            assert tree._leaves.tobytes() == (x + 0.0).tobytes()
 
 
 class TestSampling:
@@ -257,7 +275,7 @@ class TestInverseCdfDescent:
         tree = build_vector_tree([1.0, 0.0, 2.0, 0.0, 0.0], 1)
         idx = tree.sample_indices(_EdgeFirst(stream(47, 0)), 500)
         assert np.all((idx >= 0) & (idx < len(tree)))
-        assert np.all(tree.leaf_magnitudes[idx] > 0.0)
+        assert np.all(leaf_magnitudes(tree)[idx] > 0.0)
 
         # m = 3: row 3 of every column is a padding leaf
         A = np.array([[1.0, 0.0], [2.0, 3.0], [0.0, 0.0]])
@@ -273,7 +291,7 @@ class TestInverseCdfDescent:
         tree = build_vector_tree([1.0, 0.0, 2.0, 0.0, 0.0], 1)
         rng = _EdgeFirst(stream(48, 0))
         idx = [tree.sample_index(rng) for _ in range(100)]
-        assert all(0 <= i < len(tree) and tree.leaf_magnitudes[i] > 0.0 for i in idx)
+        assert all(0 <= i < len(tree) and leaf_magnitudes(tree)[i] > 0.0 for i in idx)
 
         A = np.array([[1.0, 0.0], [2.0, 3.0], [0.0, 0.0]])
         mt = build_matrix_tree(A, 1.5)
@@ -291,7 +309,7 @@ class TestUpdate:
         tree = build_vector_tree([1, 2], 2)
         tree.update_entry(0, 0)
         assert tree.query_pnorm_power() == 4
-        assert tree.leaf_signs[0] == 0
+        assert leaf_signs(tree)[0] == 0
 
     def test_sign_flip(self):
         tree = build_vector_tree([1, 2], 1)
@@ -327,11 +345,11 @@ class TestUpdate:
         tree = build_vector_tree([1e308, 1.0], 1)
         mt = build_matrix_tree([[1e308], [1.0]], 1)
         for update, twin in ((lambda v: tree.update_entry(1, v), tree), (lambda v: mt.update_entry(1, 0, v), mt._tree)):
-            before, nodes = twin.to_bytes(), twin._nodes.tobytes()
+            before, nodes = flat_layout(twin), twin._nodes.tobytes()
             for v in (1e308, math.nan, math.inf):
                 with pytest.raises(ValueError):
                     update(v)
-                assert twin.to_bytes() == before and twin._nodes.tobytes() == nodes
+                assert flat_layout(twin) == before and twin._nodes.tobytes() == nodes
                 twin.audit()
 
     @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
@@ -353,7 +371,7 @@ class TestUpdate:
             with pytest.raises(IndexError):
                 call()
         assert tree.entries().tolist() == [-1, 2, -3, 4]
-        assert tree._nodes.tobytes() == vector_bytes and tree.leaf_signs.tolist() == [-1, 1, -1, 1]
+        assert tree._nodes.tobytes() == vector_bytes and leaf_signs(tree).tolist() == [-1, 1, -1, 1]
         assert mt._tree._nodes.tobytes() == matrix_bytes
         assert mt.dense().tolist() == [[1, 5, 0], [2, 7, 1], [3, 0, 2]]
         assert mt.sample_rows([], stream(0, 0)).tolist() == []
@@ -367,7 +385,7 @@ class TestUpdate:
         updated = build_vector_tree(np.zeros_like(x), p)
         for i, value in enumerate(x.tolist()):
             updated.update_entry(i, value)
-        assert updated.to_bytes() == built.to_bytes()
+        assert flat_layout(updated) == flat_layout(built)
         assert updated._nodes.tobytes() == built._nodes.tobytes()
 
     @settings(max_examples=60, deadline=None)
@@ -390,8 +408,7 @@ class TestUpdate:
         fresh = build(values, p)
         if matrix:
             tree, fresh = tree._tree, fresh._tree
-        assert tree._nodes.tobytes() == fresh._nodes.tobytes()
-        assert tree._signs.tobytes() == fresh._signs.tobytes()
+        assert tree._nodes.tobytes() == fresh._nodes.tobytes()  # the signed leaves too
 
 
 class TestQuery:
@@ -493,9 +510,10 @@ class TestInvariants:
     @pytest.mark.parametrize("leaf,value,message", [
         (None, math.nan, "finite and nonnegative"),  # an internal node
         (100, -math.inf, "finite and nonnegative"),
-        (2100, -1.0, "finite and nonnegative"),  # a leaf in the second block
+        (None, -1.0, "finite and nonnegative"),
+        (2100, -1.0, "children sum to"),  # a leaf in the second block: a weight of 1.0
         (5007, 1.0, "padding leaves"),
-        (4500, 0.0, "zero pattern"),  # a leaf in the third block
+        (4500, -0.0, "-0.0"),  # a leaf in the third block
     ])
     def test_audit_messages_across_leaf_blocks(self, leaf, value, message):
         tree = build_vector_tree(stream(93, 5).normal(size=5000), 1.5)  # 3 leaf blocks, then padding
@@ -541,7 +559,7 @@ class TestInvariants:
                     idx = vt._descend_many(rng, np.full(64, start, dtype=np.int64), levels, nodes[start])
                     first = (start << levels) - cap
                     assert np.all((idx >= first) & (idx < first + (1 << levels)))
-                    assert np.all(vt.leaf_magnitudes[idx] > 0.0)
+                    assert np.all(leaf_magnitudes(vt)[idx] > 0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.integers(1, 9), st.integers(1, 7), st.booleans(),
@@ -560,8 +578,8 @@ class TestInvariants:
         for k, x in data.draw(st.lists(st.tuples(st.integers(0, m * n - 1), value), max_size=30)):
             tree.update_entry(*(int(c) for c in np.unravel_index(k, shape)), x)
         cap, leaf0 = vt._capacity, vt._leaf0
-        heap = heap_from_leaves(vt.leaf_magnitudes, cap)
-        assert vt._nodes.tobytes() == heap[:leaf0].tobytes() + heap[cap:].tobytes()
+        heap = heap_from_leaves(leaf_magnitudes(vt), cap)
+        assert vt._nodes[:leaf0].tobytes() == heap[:leaf0].tobytes()
         assert full_heap(vt).tobytes() == heap.tobytes()
         assert [vt._node(v) for v in range(1, 2 * cap)] == heap[1:].tolist()
         for level in range(vt._depth + 1):
@@ -593,26 +611,28 @@ def traced_peak(build):
 
 
 class TestBuildMemory:
-    """A build holds the caller's input, the node array and the int8 signs;
-    no n-sized float64 copy of the input sits beside the heap."""
+    """A build holds the caller's input and the node array, which carries the
+    signs in its leaves; no n-sized copy of the input sits beside the heap."""
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     def test_vector_build_peaks_at_what_it_keeps(self, p):
         n = 1 << 20
         x = stream(93, 0).normal(size=n)
         tree, peak = traced_peak(lambda: build_vector_tree(x, p))
-        kept = tree._nodes.nbytes + tree._signs.nbytes
-        assert peak <= kept + n + 256 * 1024
+        assert peak <= tree._nodes.nbytes + 256 * 1024
 
     def test_p1_build_makes_no_zero_mask(self):
-        # 12 bytes of nodes and one sign byte a leaf, and at p = 1 no n-byte mask
-        # of underflowed magnitudes: a magnitude is zero only where its sign is
+        # 12 bytes of nodes a leaf slot and no other n-sized array, and at p = 1
+        # no n-byte mask of zero entries: the leaves are the entries plus 0.0
         x = stream(93, 3).normal(size=1 << 20)
         x[::7] = 0.0
+        x[3::7] = -0.0
         tree, peak = traced_peak(lambda: build_vector_tree(x, 1.0))
-        assert (tree._nodes.nbytes, tree._signs.nbytes) == (12 * 2**20, 2**20)
-        assert peak <= tree._nodes.nbytes + tree._signs.nbytes + 64 * 1024
-        assert np.array_equal(tree.leaf_signs, np.sign(x))
+        assert tree._nodes.nbytes == 12 * 2**20
+        assert tree._view.obj is tree._nodes
+        assert [s for s in tree.__slots__ if s not in ("_nodes", "_view") and np.size(getattr(tree, s)) > 1] == []
+        assert peak <= tree._nodes.nbytes + 64 * 1024
+        assert tree._leaves.tobytes() == (x + 0.0).tobytes()
 
     def test_rebuild_allocates_one_block(self):
         tree = build_vector_tree(stream(93, 4).normal(size=1 << 20), 1.5)
@@ -630,56 +650,6 @@ class TestBuildMemory:
         tree = build_vector_tree(stream(93, 2).normal(size=1 << 20), 1.5)
         _, peak = traced_peak(tree.audit)
         assert peak <= 512 * 1024  # every n-sized check runs a block at a time
-
-
-class TestSerialization:
-    def test_layout_golden_bytes(self):
-        tree = build_vector_tree([1, -2, 0], 2)
-        expected = (
-            struct.pack("<d", 2.0)
-            + struct.pack("<Q", 3)
-            + np.array([1, -1, 0], dtype=np.int8).tobytes()
-            + struct.pack("<3d", 1.0, 4.0, 0.0)
-        )
-        assert tree.to_bytes() == expected
-
-    def test_to_bytes_peaks_at_its_output(self):
-        tree = build_vector_tree(stream(21, 1).normal(size=1 << 20), 1.5)
-        out, peak = traced_peak(tree.to_bytes)
-        assert len(out) == 16 + 9 * (1 << 20)
-        assert peak <= 1.2 * len(out)  # concatenating the parts held 2x
-
-    def test_round_trip(self):
-        rng = stream(21, 0)
-        values = rng.normal(0, 2, 11)
-        tree = build_vector_tree(values, 1.5)
-        clone = WeightedVectorTree.from_bytes(tree.to_bytes())
-        assert clone.p == tree.p
-        assert len(clone) == len(tree)
-        assert np.array_equal(clone.leaf_magnitudes, tree.leaf_magnitudes)
-        assert np.array_equal(clone.leaf_signs, tree.leaf_signs)
-        assert clone.query_pnorm_power() == pytest.approx(tree.query_pnorm_power(), rel=1e-15)
-
-    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))])
-    def test_copies_are_independent_and_bytewise(self, clone):
-        mt = build_matrix_tree(stream(22, 0).normal(size=(5, 3)), 1.5)
-        mt.update_entry(4, 2, -3.0)
-        twin = clone(mt)
-        assert twin._tree._nodes.tobytes() == mt._tree._nodes.tobytes()
-        twin.update_entry(0, 0, 9.0)
-        assert mt.query_entry(0, 0) != 9.0 and twin.query_entry(0, 0) == pytest.approx(9.0)
-        assert twin.column_pnorm_powers()[0] > mt.column_pnorm_powers()[0]
-
-    def test_truncated_buffer_rejected(self):
-        tree = build_vector_tree([1, 2], 1)
-        with pytest.raises(ValueError):
-            WeightedVectorTree.from_bytes(tree.to_bytes()[:-1])
-        # a buffer of the right length is still checked: each of these leaves raises
-        for bad in (math.inf, math.nan, -1.0, 0.0):
-            buf = bytearray(tree.to_bytes())
-            struct.pack_into("<d", buf, len(buf) - 8, bad)
-            with pytest.raises(ValueError):
-                WeightedVectorTree.from_bytes(bytes(buf))
 
 
 def column_probabilities(mt):
@@ -717,7 +687,7 @@ class TestMatrixTree:
             A[rng.random(size=A.shape) < 0.3] = 0.0
             mt = build_matrix_tree(A, p)
             flat = build_vector_tree(A.reshape(-1), p)
-            two_level = (mt._columns()[0].T / mt._tree.query_pnorm_power()).reshape(-1)
+            two_level = (np.abs(mt._columns()).T / mt._tree.query_pnorm_power()).reshape(-1)
             np.testing.assert_allclose(two_level, flat.probabilities(), rtol=1e-12, atol=1e-15)
 
     def test_two_level_sampling_frequencies(self):
@@ -799,7 +769,7 @@ class TestMatrixTree:
         np.testing.assert_allclose(mt.dense(), A, rtol=1e-12)
         np.testing.assert_allclose(mt.column_pnorm_powers(), weights.sum(axis=0), rtol=1e-12)
         if weights.sum() > 0.0:
-            probabilities = mt._columns()[0].T / mt._tree.query_pnorm_power()
+            probabilities = np.abs(mt._columns()).T / mt._tree.query_pnorm_power()
             np.testing.assert_allclose(probabilities, weights / weights.sum(), rtol=1e-12)
         else:
             with pytest.raises(EmptyDistributionError):
@@ -853,8 +823,9 @@ class TestMatrixTree:
 
 class TestBatchedStreamsGolden:
     """sha256 of the batched draws (``sample_indices``, ``sample_entries``,
-    ``sample_rows``) and of ``to_bytes`` on sizes that exercise padding.  The
-    node layout may move; the streams and the byte format may not."""
+    ``sample_rows``) and of the sign and magnitude bytes (:func:`flat_layout`)
+    on sizes that exercise padding.  The node layout may move; the streams and
+    the entries' signs and weights may not."""
 
     GOLDEN = {
         1.0: "6e10d08a2ccdd10b0f82fa0b7ebe429b577ec914d9c9c5f023eeac35563d9739",
@@ -869,13 +840,13 @@ class TestBatchedStreamsGolden:
             x = stream(81, k).normal(size=n)
             x[1::3] = 0.0
             tree = build_vector_tree(x, p)
-            digest.update(tree.to_bytes())
+            digest.update(flat_layout(tree))
             digest.update(tree.sample_indices(stream(82, k), 3000).astype("<i8").tobytes())
         for k, (m, n) in enumerate(((7, 3), (300, 5))):
             A = stream(83, k).normal(size=(m, n))
             A[::4] = 0.0
             mt = build_matrix_tree(A, p)
-            digest.update(mt._tree.to_bytes())
+            digest.update(flat_layout(mt._tree))
             rows, cols = mt.sample_entries(stream(84, k), 3000)
             digest.update(rows.astype("<i8").tobytes() + cols.astype("<i8").tobytes())
             cols = stream(85, k).integers(n, size=3000)
