@@ -11,13 +11,15 @@ are byte-reproducible for a fixed seed; timestamps live only in the manifest.
 
 Exit codes: 0 success; 2 usage (a bad flag, a seed, count, exponent or
 probability out of range, neither or both of --matrix/--synthetic); 3 data
-error (a bad config value or ``$LPSAMPLE_SEED``, or a DFE run whose counts or
-labels exceed int64, included); 4 internal invariant violation.
+error (a bad config value or ``$LPSAMPLE_SEED``, a DFE run whose counts or
+labels exceed int64, or a moment or result that overflows, included); 4
+internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -178,6 +180,18 @@ def _json(payload) -> str:
         raise DataError(f"a result is not finite: {exc}") from None
 
 
+@contextlib.contextmanager
+def _data_errors(what: str):
+    """Report a library ``ValueError`` as a ``DataError`` about ``what``. numpy's
+    overflow warnings are silenced: a value that overflows is reported once, by
+    the result check that raises that error or by ``_json``."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except ValueError as exc:
+        raise DataError(f"{what}: {exc}") from exc
+
+
 def _csv(header: list[str], rows: list[list]) -> str:
     buffer = io.StringIO()
     csv.writer(buffer).writerows([header, *rows])
@@ -279,8 +293,10 @@ def _load_input_matrix(args) -> SparseMatrix:
 
 
 def cmd_mp_curve(args) -> dict[Path, str]:
+    with _data_errors(args.dist.label()):
+        points = mp_curve(args.m, args.n, args.dist, args.p_grid, args.trials, args.seed)
     rows = []
-    for pt in mp_curve(args.m, args.n, args.dist, args.p_grid, args.trials, args.seed):
+    for pt in points:
         bias = ""
         if pt.theory_m is not None and pt.stderr_m is not None:
             band = 2.0 * pt.stderr_m
@@ -298,37 +314,13 @@ def cmd_ratio_table(args) -> dict[Path, str]:
     rows = []
     for dist in args.dists:
         for n in args.n_list:
-            report = run_ratio_experiment(args.m, n, dist, coeff_spec, args.trials, args.seed)
-            rows.append(
-                [
-                    dist.label(),
-                    n,
-                    args.m,
-                    args.trials,
-                    _fmt(report.m1.exact),
-                    _fmt(report.m1.stderr),
-                    _fmt(report.m2.exact),
-                    _fmt(report.m2.stderr),
-                    _fmt(report.mean_ratio),
-                    _fmt(report.stderr_ratio),
-                    report.redraws,
-                    "outside-theory" if report.outside_theory else "",
-                ]
-            )
-    header = [
-        "distribution",
-        "n",
-        "m",
-        "trials",
-        "mean_M1",
-        "stderr_M1",
-        "mean_M2",
-        "stderr_M2",
-        "mean_ratio",
-        "stderr_ratio",
-        "redraws",
-        "theory_note",
-    ]
+            with _data_errors(dist.label()):
+                rep = run_ratio_experiment(args.m, n, dist, coeff_spec, args.trials, args.seed)
+            rows.append([dist.label(), n, args.m, args.trials, _fmt(rep.m1.exact), _fmt(rep.m1.stderr),
+                         _fmt(rep.m2.exact), _fmt(rep.m2.stderr), _fmt(rep.mean_ratio), _fmt(rep.stderr_ratio),
+                         rep.redraws, "outside-theory" if rep.outside_theory else ""])
+    header = ["distribution", "n", "m", "trials", "mean_M1", "stderr_M1", "mean_M2", "stderr_M2", "mean_ratio",
+              "stderr_ratio", "redraws", "theory_note"]
     return {Path(args.out): _csv(header, rows)}
 
 
@@ -364,18 +356,14 @@ def cmd_inner_product(args) -> dict[Path, str]:
         for k, (a, b) in enumerate(_eligible_pairs(matrix, args.pairs, args.min_overlap, rng)):
             x, y = matrix.dense_rows([a, b])
             support = np.flatnonzero(x)  # the tree needs only row a's support: zeros are never drawn
-            try:
-                # overflow is reported once, as the DataError below or from _json
-                with np.errstate(over="ignore", invalid="ignore"):
-                    report = estimate_inner_product(
-                        WeightedVectorTree(x[support], args.p), y[support], args.epsilon, args.delta,
-                        stream(args.seed, k), compute_scale=False,
-                    )
-                    scale1 = error_scale(x, y, 1.0)
-                    scale2 = error_scale(x, y, 2.0)
-                    inner = float(x @ y)
-            except ValueError as exc:
-                raise DataError(f"rows {a} and {b}: {exc}") from exc
+            with _data_errors(f"rows {a} and {b}"):
+                report = estimate_inner_product(
+                    WeightedVectorTree(x[support], args.p), y[support], args.epsilon, args.delta,
+                    stream(args.seed, k), compute_scale=False,
+                )
+                scale1 = error_scale(x, y, 1.0)
+                scale2 = error_scale(x, y, 2.0)
+                inner = float(x @ y)
             if scale1 == 0.0:
                 raise DataError(f"rows {a} and {b}: the p = 1 error scale underflows to zero")
             records.append(
@@ -427,12 +415,8 @@ def cmd_lincomb(args) -> dict[Path, str]:
             if not np.any(combo_matrix @ coeffs != 0.0):
                 continue
             for p in args.p:
-                try:
-                    # overflow is reported once, as the DataError below
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        report = measure_mp(combo_matrix, coeffs, p, args.samples_per_trial, rng)
-                except ValueError as exc:
-                    raise DataError(f"cannot compute M({p:g}): {exc}") from exc
+                with _data_errors(f"cannot compute M({p:g})"):
+                    report = measure_mp(combo_matrix, coeffs, p, args.samples_per_trial, rng)
                 per_p[p]["exact"].append(report.exact)
                 if report.empirical is not None:
                     per_p[p]["iters"].append(report.empirical)
@@ -466,13 +450,12 @@ def cmd_lincomb(args) -> dict[Path, str]:
 
 def cmd_dfe(args) -> dict[Path, str]:
     target, epsilon = args.target, args.epsilon
-    try:
+    # ValueError: more levels or measurements than int64 holds, or more qubits than a label
+    with _data_errors(f"{target.kind}:{target.n}"):
         records = [
             run_dfe(target, args.noise, epsilon, args.delta, args.norm, stream(args.seed, k))
             for k in range(args.runs)
         ]
-    except ValueError as exc:  # more levels or measurements than int64 holds, or more qubits than a label
-        raise DataError(str(exc)) from None
     lines = [
         json.dumps({**run.to_json_dict(), "seed": args.seed, "run": k}, sort_keys=True) + "\n"
         for k, run in enumerate(records)

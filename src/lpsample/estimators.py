@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ptree import WeightedMatrixTree, WeightedVectorTree
-from .randkit import DistributionSpec
+from .randkit import DistributionSpec, _finite_result
 
 __all__ = [
     "EstimateReport",
@@ -136,19 +136,19 @@ def estimate_trace_inner_product(
     return EstimateReport(estimate, float(epsilon), float(delta), None, groups, per_group, groups * per_group)
 
 
+@_finite_result
 def error_scale(x, y, p: float) -> float:
     """Additive error scale ``||x||_p^(p/2) * sqrt(sum |x_i|^(2-p) y_i^2)``.
 
-    Terms with x_i = 0 contribute nothing (those indices are never sampled).
-    For p > 2 a zero x_i facing a nonzero y_i leaves the scale undefined, and
-    is reported as an error rather than given a value.
+    Terms with x_i = 0 contribute nothing (those indices are never sampled, so
+    their y_i is never read). For p > 2 a zero x_i facing a nonzero y_i leaves
+    the scale undefined, and is reported as an error rather than given a
+    value. A scale that is not finite raises ``ValueError``.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be one-dimensional with equal length")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("inputs must be finite")
     nonzero = x != 0.0
     if not np.any(nonzero):
         raise ValueError("x must be nonzero")
@@ -161,15 +161,15 @@ def error_scale(x, y, p: float) -> float:
     return math.sqrt(float(np.sum(np.abs(x) ** p))) * math.sqrt(cross)
 
 
+@_finite_result
 def f_curve(x, p: float) -> float:
     """Sample-cost curve ``sum |x_i|^p * sum |x_i|^(2-p)`` over nonzero entries.
 
     Minimized at p = 1 for every vector whose nonzero entries are not all of
-    equal magnitude; constant in p otherwise.
+    equal magnitude; constant in p otherwise. A value that is not finite
+    raises ``ValueError``.
     """
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input must be finite")
     ax = np.abs(x[x != 0.0])
     if ax.size == 0:
         return 0.0
@@ -193,7 +193,7 @@ def empirical_improvement_factor(
     which converges to E[X^2] / (E|X|)^2 for zero-mean families (pi/2 for a
     normal, 4/3 for a uniform, 2 for a laplace).
     """
-    if abs(spec.mean()) > 1e-12:
+    if spec.mean() != 0.0:
         raise ValueError("the averaged identity requires a zero-mean family")
     sum_s2 = 0.0
     sum_s1_sq = 0.0

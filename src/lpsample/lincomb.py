@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ptree import EmptyDistributionError, WeightedMatrixTree, WeightedVectorTree, _magnitudes, _signed_values
-from .randkit import DistributionSpec, MomentProfile, moment_profile, stream
+from .randkit import DistributionSpec, MomentProfile, _finite_result, moment_profile, stream
 
 __all__ = [
     "NonTerminationError",
@@ -110,6 +110,11 @@ class MpCurvePoint:
 _NOT_FINITE = "A and x must be finite, and |.|^p must not overflow"
 
 
+@_finite_result
+def _proposals_per_sample(n: int, p: float, numerator: float, denominator: float) -> float:
+    return n ** (p - 1.0) * numerator / denominator
+
+
 def exact_m(A, x, p):
     """Closed-form expected proposals per accepted sample,
     ``n^(p-1) * sum_ij |x_j A_ij|^p / sum_i |(Ax)_i|^p``.
@@ -132,7 +137,7 @@ def exact_m(A, x, p):
             raise ValueError(_NOT_FINITE)
         if denominator == 0.0:
             raise ValueError("Ax is zero: the target distribution is undefined")
-        out.flat[k] = n ** (q - 1.0) * numerator / denominator
+        out.flat[k] = _proposals_per_sample(n, q, numerator, denominator)
     return out if out.ndim else float(out)
 
 
@@ -248,11 +253,13 @@ def measure_mp(A, x, p: float, samples: int, rng: np.random.Generator) -> MpRepo
     return MpReport(p, m, n, exact, empirical, samples, stderr)
 
 
+@_finite_result
 def theoretical_limit(profile: MomentProfile) -> float:
     """Large-size limit of M(p) / n^(p/2) for i.i.d. zero-mean entries."""
     return profile.mu_p ** 2 / profile.mu_tilde_p
 
 
+@_finite_result
 def theoretical_mp(profile: MomentProfile, n: int) -> float:
     """Limit prediction for M(p) at width n: ``n^(p/2) * mu_p^2 / mu_tilde_p``."""
     return n ** (profile.p / 2.0) * theoretical_limit(profile)
@@ -341,7 +348,7 @@ def mp_curve(
     p_grid = [float(p) for p in p_grid]
     if not p_grid:
         raise ValueError("p grid must be non-empty")
-    profiles = moment_profile(spec, p_grid, seed=seed) if spec.mean() == 0.0 else None
+    profiles = moment_profile(spec, p_grid) if spec.mean() == 0.0 else None
     tables = [(w, _trial_table(spec, spec, m, w, p_grid, trials, seed)[0]) for w in np.atleast_1d(n).tolist()]
     return [
         MpCurvePoint(p, w, m, trials, float(table[k].mean()), _stderr(table[k]),

@@ -1,4 +1,4 @@
-"""Seeded random streams, scalar distribution families, and moment profiles.
+"""Seeded random streams, scalar distribution families, and closed-form moment profiles.
 
 Streams are Philox counter-based generators keyed by ``(seed, stream_id)``;
 equal keys reproduce the same draws and distinct stream ids give independent
@@ -9,6 +9,7 @@ trials must each own their own.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,18 +39,29 @@ _FAMILY_ARITY = {
     "gamma": 2,
 }
 
-# stream id reserved for moment-profile Monte Carlo so experiment trials
-# (small ids) never share a stream with it
-_MOMENT_STREAM_ID = 982_451_653
-# Monte Carlo sample size of a moment profile
-_MOMENT_SAMPLES = 200_000
-
 
 def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     """Deterministic random stream for ``(seed, stream_id)``."""
     if seed < 0 or stream_id < 0:
         raise ValueError("seed and stream_id must be nonnegative integers")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))))
+
+
+def _finite_result(fn):
+    """Make ``fn`` raise ``ValueError`` unless its float result is finite; an
+    ``OverflowError`` (float ``**`` and ``math.gamma`` raise it) counts as inf."""
+
+    @functools.wraps(fn)
+    def checked(*args):
+        try:
+            value = fn(*args)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"{fn.__name__.strip('_')} is not finite: got {value}")
+        return value
+
+    return checked
 
 
 @dataclass(frozen=True)
@@ -118,6 +130,7 @@ class DistributionSpec:
             return q[0] / (q[0] + q[1])
         return q[0] * q[1]
 
+    @_finite_result
     def variance(self) -> float:
         f, q = self.family, self.params
         if f == "normal":
@@ -172,6 +185,7 @@ def parse_distribution(text: str) -> DistributionSpec:
     return DistributionSpec(family.strip().lower(), params)
 
 
+@_finite_result
 def gaussian_abs_moment(sigma: float, p: float) -> float:
     """E|X|**p for X ~ N(0, sigma**2)."""
     return sigma ** p * 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
@@ -179,61 +193,44 @@ def gaussian_abs_moment(sigma: float, p: float) -> float:
 
 @dataclass(frozen=True)
 class MomentProfile:
-    """Absolute-moment profile of a family at exponent p.
+    """Absolute-moment profile of a zero-mean family at exponent p.
 
-    ``mu_tilde_p`` is the absolute p-th moment of a centered Gaussian whose
-    variance equals the square of the family variance; it is always computed
-    from the closed Gamma-function form.
+    ``mu_p`` is the family's E|X|**p, and ``mu_tilde_p`` the absolute p-th
+    moment of a centered Gaussian whose variance equals the square of the
+    family variance.
     """
 
     p: float
-    sigma2: float
     mu_p: float
-    sigma2_p: float
     mu_tilde_p: float
-    method: str
-    mu_p_stderr: float | None = None
 
 
-def _closed_form_abs_moments(spec: DistributionSpec, p: float) -> tuple[float, float] | None:
-    """(E|X|**p, Var|X|**p) where a simple closed form exists."""
+@_finite_result
+def _abs_moment(spec: DistributionSpec, p: float) -> float:
+    """E|X|**p of a zero-mean normal, uniform or laplace family, in closed form."""
     f, q = spec.family, spec.params
-    if f == "normal" and q[0] == 0.0:
-        m1 = gaussian_abs_moment(q[1], p)
-        m2 = gaussian_abs_moment(q[1], 2.0 * p)
-        return m1, m2 - m1 * m1
-    if f == "uniform" and q[0] == -q[1]:
-        a = q[1]
-        m1 = a ** p / (p + 1.0)
-        m2 = a ** (2.0 * p) / (2.0 * p + 1.0)
-        return m1, m2 - m1 * m1
-    return None
+    if spec.mean() == 0.0:
+        if f == "normal":
+            return gaussian_abs_moment(q[1], p)
+        if f == "uniform":
+            return q[1] ** p / (p + 1.0)
+        if f == "laplace":  # |X| is exponential with mean b
+            return q[1] ** p * math.gamma(p + 1.0)
+    raise ValueError(f"{spec.label()} is not a zero-mean normal, uniform or laplace family")
 
 
-def moment_profile(spec: DistributionSpec, p, *, seed: int = 0) -> MomentProfile | list[MomentProfile]:
-    """Moment profile via closed forms (zero-mean normal, symmetric uniform)
-    or Monte Carlo for the remaining families.
+def moment_profile(spec: DistributionSpec, p) -> MomentProfile | list[MomentProfile]:
+    """Closed-form moment profile of a zero-mean normal, uniform or laplace family.
 
     Takes one p (returns a profile) or a sequence of p (returns a list in grid
-    order).  Monte Carlo draws and takes ``abs`` of one sample for the whole
-    grid and raises it to each p, so every point has the bits of a one-p call.
+    order).  Raises ``ValueError`` for any other family, and where a moment
+    overflows.
     """
     grid = np.asarray(p, dtype=np.float64)
     sigma2 = spec.variance()
-    magnitudes, profiles = None, []
+    profiles = []
     for q in grid.ravel().tolist():
         if not math.isfinite(q) or q < 1.0:
             raise ValueError(f"exponent p must be finite and >= 1, got {q}")
-        mu_tilde = gaussian_abs_moment(sigma2, q)
-        closed = _closed_form_abs_moments(spec, q)
-        if closed is not None:
-            profiles.append(MomentProfile(q, sigma2, *closed, mu_tilde, "closed-form"))
-            continue
-        if magnitudes is None:
-            magnitudes = np.abs(spec.sample(stream(seed, _MOMENT_STREAM_ID), _MOMENT_SAMPLES))
-        a = magnitudes ** q
-        mu_p, var_p = float(a.mean()), float(a.var(ddof=1))
-        method = f"monte-carlo(n={_MOMENT_SAMPLES},seed={seed})"
-        stderr = math.sqrt(var_p / _MOMENT_SAMPLES)
-        profiles.append(MomentProfile(q, sigma2, mu_p, var_p, mu_tilde, method, stderr))
+        profiles.append(MomentProfile(q, _abs_moment(spec, q), gaussian_abs_moment(sigma2, q)))
     return profiles if grid.ndim else profiles[0]

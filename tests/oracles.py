@@ -134,6 +134,12 @@ def quad_gaussian_abs_moment(sigma, p):
     return value
 
 
+def quad_laplace_abs_moment(b, p):
+    """E|X|^p for X ~ Laplace(0, b) by numerical integration."""
+    value, _ = integrate.quad(lambda t: 2.0 * t**p * math.exp(-t / b) / (2.0 * b), 0.0, np.inf)
+    return value
+
+
 # -- inverse-CDF index draws -------------------------------------------------------
 
 

@@ -46,7 +46,7 @@ MATRIX = object()  # stands for the ratings_file path in an argv
 
 # sha256 of every file each argv writes (manifests aside), recorded before the
 # CLI plumbing moved into one runner; integer p only, so no SIMD pow rounding,
-# except "mp-curve-mc", recorded later: fractional p and a Monte Carlo profile
+# except "mp-curve-mc", recorded later: fractional p and the laplace closed-form profile
 GOLDEN = {
     "mp-curve": (
         ["mp-curve", "--dist", "normal:0,1", "--m", 16, "--n", 4, 8, "--p-grid", "1:2:1",
@@ -56,7 +56,7 @@ GOLDEN = {
     "mp-curve-mc": (
         ["mp-curve", "--dist", "laplace:0,1", "--m", 16, "--n", 4, 8, "--p-grid", "1:2:0.25",
          "--trials", 6, "--seed", 7],
-        {"out": "811de8d7d5cebecae3146e8a99fea66504916cd112a22f553ef0919ec5d7e053"},
+        {"out": "0a565d7a38fff2a04042df283fb6f170b97d622b594679d1dc4b4870cea0b051"},
     ),
     "ratio-table": (
         ["ratio-table", "--dists", "normal:0,1", "exponential:1", "--m", 16, "--n-list", 2, 4,
@@ -331,6 +331,27 @@ class TestLincomb:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mp-curve", "--dist", "normal:0,1e100", "--m", 4, "--n", 2, "--p-grid", "1,2", "--trials", 2],
+        ["mp-curve", "--dist", "laplace:0,1e200", "--m", 4, "--n", 2, "--p-grid", "1,2", "--trials", 2],
+        ["mp-curve", "--dist", "normal:0,1", "--m", 4, "--n", 100, "--p-grid", "200", "--trials", 2],
+        ["mp-curve", "--dist", "normal:0,1", "--m", 4, "--n", 4, "--p-grid", "200", "--trials", 2],
+        ["ratio-table", "--dists", "normal:0,1e160", "--m", 4, "--n-list", 2, "--trials", 2],
+    ],
+    ids=["mu-tilde", "variance", "exact-m", "theory", "ratio-table"],
+)
+def test_overflow_is_data_error(argv, tmp_path, capsys):
+    # a moment, M(p) or its limit past the largest float: one error line, no file
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert run(argv + ["--out", out_dir / "out.csv"]) == EXIT_DATA
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "finite" in lines[0]
+    assert list(out_dir.iterdir()) == []
 
 
 class TestDfe:

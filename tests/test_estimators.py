@@ -164,6 +164,14 @@ class TestErrorScale:
     def test_zero_contributes_zero(self):
         # at p = 2 the zero-x positions are excluded from the y term
         assert error_scale([0, 1], [5, 1], 2.0) == pytest.approx(1.0, rel=1e-14)
+        # a y_i facing x_i = 0 is never read, so it may be non-finite
+        assert error_scale([0, 1], [np.inf, 1], 1.0) == error_scale([0, 1], [np.nan, 1], 2.0) == 1.0
+
+    @pytest.mark.parametrize("x,y", [([1e200, 1e200], [1, 1]), ([1.0, np.inf], [1, 1]), ([1, 1], [1.0, np.nan])])
+    def test_non_finite_scale_rejected(self, x, y):
+        # |x_i|^2 = 1e400 overflows; a non-finite entry that is read makes the scale non-finite
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="error_scale is not finite"):
+            error_scale(x, y, 2.0)
 
     def test_p_above_two_guard(self):
         with pytest.raises(UndefinedScaleError):
@@ -194,6 +202,11 @@ class TestFCurve:
     def test_zero_entries_excluded(self):
         assert f_curve([0.0, 1.0, 2.0], 0.5) == pytest.approx(f_curve([1.0, 2.0], 0.5), rel=1e-14)
 
+    @pytest.mark.parametrize("x", [[1e200, 1e200], [1.0, np.inf], [1.0, np.nan]])
+    def test_non_finite_value_rejected(self, x):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="f_curve is not finite"):
+            f_curve(x, 2.0)
+
     def test_grid_argmin_at_one(self):
         grid = np.round(np.arange(0.2, 1.81, 0.1), 10)
         rng = stream(7, 0)
@@ -221,8 +234,9 @@ class TestImprovementFactor:
         assert value == pytest.approx(math.pi / 2, rel=0.05)
 
     def test_nonzero_mean_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_improvement_factor(exponential(1), 16, 20_000, stream(9, 0))
+        for spec in (exponential(1), normal(1e-13, 1)):
+            with pytest.raises(ValueError):
+                empirical_improvement_factor(spec, 16, 20_000, stream(9, 0))
 
 
 class TestTraceEstimator:

@@ -64,7 +64,9 @@ def _caller_sites():
 
 
 def _called_elsewhere(name, obj, sites):
-    """Whether ``name`` occurs at some site outside the source of ``obj``."""
+    """Whether ``name`` occurs at some site outside the source of ``obj`` (a decorated
+    function's own source, not its wrapper's)."""
+    obj = inspect.unwrap(obj)
     lines, first = inspect.getsourcelines(obj)
     home, span = Path(inspect.getsourcefile(obj)).resolve(), range(first, first + len(lines))
     return not all(path == home and line in span for path, line in sites.get(name, []))

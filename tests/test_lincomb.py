@@ -74,6 +74,13 @@ class TestExactM:
             CombinationSampler(build_matrix_tree(A, 2.0), x)
         assert not isinstance(caught.value, EmptyDistributionError)
 
+    def test_overflowing_m_rejected(self):
+        # for A = I and x = 1 the sums are finite, but M(200) = 100^199 is past the largest float
+        with pytest.raises(ValueError, match="not finite"):
+            exact_m(np.eye(100), np.ones(100), 200.0)
+        with pytest.raises(ValueError, match="not finite"):
+            exact_m(np.eye(100), np.ones(100), [2.0, 200.0])
+
     def test_grid_equals_one_p_oracle_bit_for_bit(self):
         rng = stream(56, 0)
         checked = 0
@@ -283,6 +290,14 @@ class TestTheory:
         prof1 = moment_profile(normal(0, 1), 1)
         assert theoretical_limit(prof1) == pytest.approx(math.sqrt(2 / math.pi), rel=1e-12)
 
+    def test_overflowing_limit_rejected(self):
+        # E|Z|^200 is about 1e187, so its square overflows; the limit at p = 100 is
+        # E|Z|^100, about 3e78, and n^50 = 1e300 at n = 10^6
+        with pytest.raises(ValueError, match="theoretical_limit is not finite"):
+            theoretical_limit(moment_profile(normal(0, 1), 200))
+        with pytest.raises(ValueError, match="theoretical_mp is not finite"):
+            theoretical_mp(moment_profile(normal(0, 1), 100), 10**6)
+
     def test_table_ratio_at_1024(self):
         prof1 = moment_profile(normal(0, 1), 1)
         prof2 = moment_profile(normal(0, 1), 2)
@@ -351,6 +366,15 @@ class TestTheory:
             16, 8, laplace(0, 1), [1.0, 1.5], 5, seed=3
         )
         assert [(pt.n, pt.p) for pt in both] == [(4, 1.0), (4, 1.5), (8, 1.0), (8, 1.5)]
+
+    @pytest.mark.parametrize("b", [0.5, 3.0])
+    def test_laplace_theory_is_the_closed_form_limit(self, b):
+        # mu_p = b^p Gamma(p + 1), and mu~_p = E|Z|^p for Z ~ N(0, (2 b^2)^2)
+        for pt in mp_curve(8, [4, 16], laplace(0, b), [1.0, 1.5, 2.0, 3.0], 2, seed=1):
+            p, n = pt.p, pt.n
+            mu_tilde = (2 * b * b) ** p * 2 ** (p / 2) * math.gamma((p + 1) / 2) / math.sqrt(math.pi)
+            expected = n ** (p / 2) * math.gamma(p + 1) ** 2 * b ** (2 * p) / mu_tilde
+            assert abs(pt.theory_m - expected) <= 4 * math.ulp(expected), (p, n)
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError, match="trials"):

@@ -17,7 +17,7 @@ from lpsample.randkit import (
     uniform,
 )
 
-from oracles import quad_gaussian_abs_moment
+from oracles import quad_gaussian_abs_moment, quad_laplace_abs_moment
 
 ALL_SPECS = [
     normal(0, 1),
@@ -125,7 +125,6 @@ class TestDraws:
 class TestMomentProfile:
     def test_standard_normal_p2(self):
         prof = moment_profile(normal(0, 1), 2)
-        assert prof.method == "closed-form"
         assert prof.mu_p == pytest.approx(1.0, abs=1e-14)
         assert prof.mu_tilde_p == pytest.approx(1.0, abs=1e-14)
 
@@ -147,32 +146,36 @@ class TestMomentProfile:
                 quad_gaussian_abs_moment(sigma2, p), rel=1e-8, abs=1e-8
             )
 
-    def test_monte_carlo_profile(self):
-        prof = moment_profile(beta(5, 2), 1.5, seed=9)
-        assert prof.method == "monte-carlo(n=200000,seed=9)"
-        assert prof.mu_p_stderr is not None
-        x = beta(5, 2).sample(stream(77, 0), 400_000)
-        reference = np.mean(np.abs(x) ** 1.5)
-        assert abs(prof.mu_p - reference) < 6 * prof.mu_p_stderr + 1e-3
+    @pytest.mark.parametrize("b", [0.5, 1.0, 3.0])
+    def test_laplace_matches_quadrature(self, b):
+        # |X| is exponential with mean b, so E|X|^p = b^p Gamma(p + 1)
+        for prof in moment_profile(laplace(0, b), [1.0, 1.5, 2.0, 3.0]):
+            assert prof.mu_p == pytest.approx(quad_laplace_abs_moment(b, prof.p), rel=1e-10)
+            # the variance is 2 b^2, so mu~_p is E|Z|^p for Z ~ N(0, (2 b^2)^2)
+            assert prof.mu_tilde_p == pytest.approx(quad_gaussian_abs_moment(2.0 * b * b, prof.p), rel=1e-10)
 
-    def test_monte_carlo_agrees_with_closed_form(self):
-        # |X| ~ Exp(1) for X ~ laplace(0, 1), so E|X|^p = Gamma(p + 1)
-        for mc in moment_profile(laplace(0, 1), [1.0, 1.5, 2.0, 3.0], seed=5):
-            assert mc.method.startswith("monte-carlo")
-            assert mc.mu_p == pytest.approx(math.gamma(mc.p + 1.0), abs=5 * mc.mu_p_stderr)
-
-    @pytest.mark.parametrize("text", ["laplace:0,1", "beta:5,2"])
+    @pytest.mark.parametrize("text", ["normal:0,2", "uniform:-1.5,1.5", "laplace:0,1"])
     def test_grid_equals_one_p_calls(self, text):
         spec = parse_distribution(text)
         grid = [1.0, 1.25, 1.5, 2.0, 3.0]
-        profiles = moment_profile(spec, grid, seed=4)
-        assert profiles[0].method.startswith("monte-carlo")
-        assert profiles == [moment_profile(spec, p, seed=4) for p in grid]
+        assert moment_profile(spec, grid) == [moment_profile(spec, p) for p in grid]
 
-    def test_closed_form_unavailable(self):
-        # no closed form for gamma: the profile falls back to Monte Carlo
-        assert moment_profile(gamma(2, 2), 1).method.startswith("monte-carlo")
-        assert moment_profile(normal(0, 2), 1).method == "closed-form"
+    @pytest.mark.parametrize("spec", [beta(5, 2), gamma(2, 2), exponential(1), normal(1, 1), laplace(1, 1)],
+                             ids=lambda spec: spec.label())
+    def test_no_closed_form_raises(self, spec):
+        with pytest.raises(ValueError, match="not a zero-mean normal, uniform or laplace family"):
+            moment_profile(spec, [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "spec,p",
+        [(normal(0, 1e100), 2.0), (laplace(0, 1e200), 1.0), (uniform(-1e120, 1e120), 3.0),
+         (laplace(0, 1), 200.0), (normal(0, 1), 1000.0)],
+        ids=["normal-float-pow", "laplace-variance", "uniform-mu-p", "laplace-gamma", "normal-gamma"],
+    )
+    def test_overflowing_moment_raises_value_error(self, spec, p):
+        # float ** and math.gamma raise OverflowError, which must surface as ValueError
+        with pytest.raises(ValueError, match="is not finite: got inf"):
+            moment_profile(spec, p)
 
     def test_bad_exponent(self):
         with pytest.raises(ValueError):
