@@ -7,12 +7,15 @@ the root equals ``sum_i |x_i|**p``; the nodes form a 1-based heap (root 1,
 children ``2v`` and ``2v + 1``), except that the level above the leaves is not
 stored: a node there reads as the sum of its two leaves' weights, the bits a
 stored node would hold.
-Sampling an index with probability ``|x_i|**p / root``, updating one entry, and
-reading an entry or the root are all O(log n); these scalar operations walk a
-memoryview of the node buffer, on Python floats, and an update recomputes each
-stored ancestor from its children.  A tree is one float64 array: a build holds
-the caller's input and that array, writes the signed leaves straight into their
-slots, then sums each stored level in fixed-size blocks.
+Sampling an index with probability ``|x_i|**p / root`` and reading an entry or
+the root are O(log n); these scalar operations walk a memoryview of the node
+buffer, on Python floats.  An update writes its leaf and notes its index; the
+first read of a sum after it recomputes every stored ancestor of the noted
+leaves from its children, up each one's root path or, for many, level by level
+over the whole tree, so at every read the sums have the bits of a fresh build.
+A tree is one float64 array: a build holds the caller's input and that array,
+writes the signed leaves straight into their slots, then sums each stored
+level in fixed-size blocks.
 Every draw, scalar or batched, is one inverse-CDF descent of one uniform, so a
 stream gives the same indices one at a time as in a batch.
 
@@ -24,10 +27,11 @@ Drawing an entry is one descent from the root (a column by its p-norm power,
 then a row within it); drawing a row of a given column is a descent from that
 column's root.
 
-Trees are single-writer: concurrent sampling and queries are safe only while
-no update runs; nothing here synchronizes internally.  Parallel experiment
-code should give each worker its own copy (or read-only shared access) and a
-per-worker random stream.
+Trees are single-writer, and the first read of a sum after an update writes
+the sums: a tree may be shared between reader threads only once one read has
+followed the last update; nothing here synchronizes internally.  Parallel
+experiment code should give each worker its own copy (or read-only shared
+access) and a per-worker random stream.
 """
 
 from __future__ import annotations
@@ -136,10 +140,15 @@ class WeightedVectorTree:
     the leaves.  ``_leaf0`` is ``capacity // 2``, leaving out the level above
     the leaves (12 bytes a leaf slot), unless that level is the root
     (capacity 1 or 2, ``_leaf0 = capacity``).  No node is ``-0.0``.
-    ``last_op_visits`` counts the nodes the last sample or update touched.
+    ``_pending`` lists the entries written since the sums were last brought up
+    to date, up to ``_rebuild_at`` of them, and ``_bound`` is at least every
+    sum, stored or pending.  ``last_op_visits`` counts the
+    nodes the last sample visited, or after an update the depth + 1 nodes of
+    the root path that the next read of a sum carries it up.
     """
 
-    __slots__ = ("_p", "_n", "_capacity", "_leaf0", "_depth", "_nodes", "_view", "last_op_visits")
+    __slots__ = ("_p", "_n", "_capacity", "_leaf0", "_depth", "_nodes", "_view", "_pending", "_rebuild_at",
+                 "_bound", "last_op_visits")
 
     def __init__(self, values, p: float):
         values = np.asarray(values, dtype=np.float64)
@@ -160,6 +169,10 @@ class WeightedVectorTree:
         self._depth = capacity.bit_length() - 1
         self._nodes = np.zeros(self._leaf0 + capacity, dtype=np.float64)
         self._view = memoryview(self._nodes)  # shares _nodes' buffer; reads give floats
+        self._pending = []
+        # a rebuild costs about 16 root-path walks plus 2 ns a leaf slot; a tree of
+        # capacity 1 or 2 has no leaf quad to walk up from, so it always rebuilds
+        self._rebuild_at = 16 + (capacity >> 10) if capacity >= 4 else 1
         self.last_op_visits = 0
 
     def _fill(self, values: np.ndarray) -> None:
@@ -181,6 +194,7 @@ class WeightedVectorTree:
         root = self.query_pnorm_power()
         if not math.isfinite(root):
             raise ValueError(f"the root sum_i |x_i|**p is {root}: values and their sum must be finite")
+        self._bound = root
 
     # -- read access ---------------------------------------------------------
 
@@ -198,10 +212,14 @@ class WeightedVectorTree:
 
     def query_pnorm_power(self) -> float:
         """Root value, equal to the p-th power of the p-norm of the vector."""
+        if self._pending:
+            self._settle()
         return abs(self._view[1])  # at n = 1 the root is the one signed leaf
 
     def _node(self, v: int) -> float:
         """Weight of heap node v: stored, ``|leaf|``, or (on the level not stored) its leaf pair's sum."""
+        if self._pending:
+            self._settle()
         if v < self._leaf0:
             return self._view[v]
         if v >= self._capacity:
@@ -210,6 +228,8 @@ class WeightedVectorTree:
 
     def _node_values(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """:meth:`_node` of heap nodes ``v``, all on one level, into ``out`` or a new array."""
+        if self._pending:
+            self._settle()
         if v.size and v[0] >= self._capacity:
             leaves = np.take(self._nodes[self._leaf0 :], v - self._capacity, out=out, mode="clip")
             return np.abs(leaves, out=leaves)
@@ -254,6 +274,8 @@ class WeightedVectorTree:
         it is at least the left child's value and subtracting that value as
         it goes (see :meth:`_descend`).
         """
+        if self._pending:
+            self._settle()
         root = abs(self._view[1])  # query_pnorm_power(), without the call
         if root <= 0.0:
             raise EmptyDistributionError("all entries are zero")
@@ -357,13 +379,11 @@ class WeightedVectorTree:
     # -- mutation ------------------------------------------------------------
 
     def update_entry(self, i: int, value: float) -> None:
-        """Set entry i to ``value`` and refresh the sums along its root path; raise
-        ``ValueError`` and leave the tree as it was if the root would not be finite."""
+        """Set entry i to ``value``; raise ``ValueError`` and leave the tree as it was
+        if the root would not be finite.  Only the leaf is written: the first read of a
+        sum after it brings the sums up to date (see :meth:`_settle`), unless a sum
+        might overflow, which this write then settles and checks at once."""
         _check_index(i, self._n)
-        self._set(i, value)
-
-    def _set(self, i: int, value: float) -> None:
-        """:meth:`update_entry` for an index already checked."""
         value = float(value)
         if self._p == 1.0:
             mag = abs(value)
@@ -373,37 +393,53 @@ class WeightedVectorTree:
             # At fractional p, Python's ** and NumPy's (SIMD) power can round one ulp
             # apart, so the general case goes through the constructor's own routine.
             # The p = 1 and p = 2 branches are already bit-identical to it and keep
-            # the scalar path, about 0.9 us against 3.4 us for a one-element array.
+            # the scalar path: an update there takes about 0.4 us, against about 3 us
+            # through a one-element array (a 2^10-leaf tree, no read in between).
             mag = float(_magnitudes(np.array([value]), self._p)[0])
-        nodes = self._view
-        leaf = self._leaf0 + i
+        self.last_op_visits = self._depth + 1
+        nodes, leaf = self._view, self._leaf0 + i
         old = nodes[leaf]
         nodes[leaf] = math.copysign(mag, value) + 0.0  # the leaf _fill writes
-        idx = self._capacity + i
-        visits = 1
-        # carry the sum just written up the path: each ancestor is its two children's
-        # sum (IEEE addition commutes, so the bits are left + right), never a drifting delta
-        if leaf != idx:  # the parent is not stored: the grandparent sums its leaf quad
-            leaf -= i & 3
-            mag = (abs(nodes[leaf]) + abs(nodes[leaf + 1])) + (abs(nodes[leaf + 2]) + abs(nodes[leaf + 3]))
-            idx >>= 2
-            nodes[idx] = mag
-            visits = 3
-        elif idx > 1:  # capacity 2: the root sums the two leaves
-            mag += abs(nodes[idx ^ 1])
-            idx = 1
-            nodes[1] = mag
-            visits = 2
-        while idx > 1:
-            mag += nodes[idx ^ 1]  # the sibling
-            idx >>= 1
-            nodes[idx] = mag
-            visits += 1
-        self.last_op_visits = visits
-        if not math.isfinite(mag):  # mag is now the root
-            nodes[self._leaf0 + i] = old
-            self.rebuild()  # each sum from its children again: the bits before this update, in O(n)
-            raise ValueError(f"entry {value} would make the root {mag}; it must stay finite")
+        if len(self._pending) < self._rebuild_at:  # past it, the settle rebuilds
+            self._pending.append(i)
+        self._bound += mag
+        # every sum is at most the root when _bound was last set plus each weight written
+        # since, so below 2^1023 none can overflow; a nan or inf fails this test too
+        if not self._bound < 2.0**1023:
+            with np.errstate(over="ignore"):  # a sum that overflows is the error raised below
+                self._settle()
+            self._bound = root = abs(nodes[1])
+            if not math.isfinite(root):
+                nodes[leaf] = old
+                self.rebuild()  # each sum from its children again: the bits before this update, in O(n)
+                self._bound = abs(nodes[1])
+                raise ValueError(f"entry {value} would make the root {root}; it must stay finite")
+
+    def _settle(self) -> None:
+        """Bring the sums above every pending leaf up to date.
+
+        Each pending leaf is carried up its root path, each ancestor recomputed from
+        its two children (IEEE addition commutes, so the bits are left + right), never
+        by a drifting delta; with many pending leaves the whole tree is summed again.
+        Either way each stored node is last written as its final children's sum, so
+        the bits are a fresh build's, whatever the order of the writes.
+        """
+        pending, nodes, leaf0 = self._pending, self._view, self._leaf0
+        if len(pending) >= self._rebuild_at:
+            self.rebuild()
+        else:
+            shift = self._capacity - leaf0
+            for i in pending:
+                # the parent is not stored: the grandparent sums its leaf quad
+                leaf = leaf0 + i - (i & 3)
+                mag = (abs(nodes[leaf]) + abs(nodes[leaf + 1])) + (abs(nodes[leaf + 2]) + abs(nodes[leaf + 3]))
+                idx = (leaf + shift) >> 2
+                nodes[idx] = mag
+                while idx > 1:
+                    mag += nodes[idx ^ 1]  # the sibling
+                    idx >>= 1
+                    nodes[idx] = mag
+        pending.clear()
 
     def _children(self, from_root: bool, spare: np.ndarray):
         """Yield ``(a, b, children)`` level by level: runs of stored nodes ``a .. b - 1``
@@ -437,6 +473,8 @@ class WeightedVectorTree:
 
     def audit(self, rel_tol: float = 1e-9) -> None:
         """Check structural invariants; raise :class:`TreeAuditError` on failure."""
+        if self._pending:
+            self._settle()
         nodes = self._nodes
         # no n-sized temporaries: min and max carry any nan or inf, and -0.0, whose
         # bits are the sign bit alone, is the one float that reads as the least int64
@@ -555,10 +593,10 @@ class WeightedMatrixTree:
         return rows, cols
 
     def update_entry(self, i: int, j: int, value: float) -> None:
-        """Set A[i, j] and refresh the sums along its root path."""
+        """Set A[i, j]; the vector tree's :meth:`~WeightedVectorTree.update_entry` writes it."""
         _check_index(i, self._m, "row")
         _check_index(j, self._n, "column")
-        self._tree._set(j * self._stride + i, value)
+        self._tree.update_entry(j * self._stride + i, value)
 
     def dense(self) -> np.ndarray:
         """Signed entries reconstructed from the leaves, as a new (m, n) array."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from lpsample.estimators import estimate_inner_product, estimate_trace_inner_product
 from lpsample.lincomb import CombinationSampler
 from lpsample.ptree import (
     EmptyDistributionError,
@@ -352,6 +353,45 @@ class TestUpdate:
                 assert flat_layout(twin) == before and twin._nodes.tobytes() == nodes
                 twin.audit()
 
+    @pytest.mark.parametrize("writes", [3, 40], ids=["walk", "rebuild"])
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_overflow_is_an_error_of_the_write_that_makes_it(self, p, writes):
+        # writes left for the next read stay, and a write that would overflow a sum
+        # raises at once; the tree is then a fresh build of the accepted values
+        values = stream(68, writes).normal(size=64)
+        values[0] = 6e307 ** (1.0 / p)  # a root below 2^1023: later writes are left pending
+        tree = build_vector_tree(values, p)
+        rng = stream(69, writes)
+        for i, v in zip(rng.integers(1, 64, writes).tolist(), rng.normal(size=writes).tolist()):
+            tree.update_entry(i, v)
+            values[i] = v
+        assert tree._pending
+        with pytest.raises(ValueError):
+            tree.update_entry(2, 1.5e308 ** (1.0 / p))
+        assert tree._nodes.tobytes() == build_vector_tree(values, p)._nodes.tobytes()
+        # a write that takes the bound past 2^1023 but leaves the root finite is kept
+        tree = build_vector_tree([1e308, 1.0], 1)
+        assert not tree._bound + 5e307 < 2.0**1023
+        tree.update_entry(0, 5e307)
+        assert tree._nodes.tobytes() == build_vector_tree([5e307, 1.0], 1)._nodes.tobytes()
+        assert tree.query_pnorm_power() == 5e307 + 1.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 3000])
+    def test_pending_writes_stay_few(self, n):
+        # a long run of writes with no read keeps at most _rebuild_at entries,
+        # fewer than the _leaf0 a tree of 64 entries or more stores, then rebuilds
+        values = stream(63, n).normal(size=n)
+        tree = build_vector_tree(values, 1.5)
+        rng = stream(64, n)
+        for i, v in zip(rng.integers(0, n, 10 * n).tolist(), rng.normal(size=10 * n).tolist()):
+            tree.update_entry(i, v)
+            values[i] = v
+        assert 0 < len(tree._pending) <= tree._rebuild_at
+        assert n < 64 or len(tree._pending) < tree._leaf0
+        tree.query_pnorm_power()
+        assert not tree._pending
+        assert tree._nodes.tobytes() == build_vector_tree(values, 1.5)._nodes.tobytes()
+
     @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
     def test_bool_indices_rejected(self, flag):
         # a bool is an int to Python and a mask to NumPy, never an entry index;
@@ -385,6 +425,7 @@ class TestUpdate:
         updated = build_vector_tree(np.zeros_like(x), p)
         for i, value in enumerate(x.tolist()):
             updated.update_entry(i, value)
+        updated.query_pnorm_power()
         assert flat_layout(updated) == flat_layout(built)
         assert updated._nodes.tobytes() == built._nodes.tobytes()
 
@@ -408,7 +449,81 @@ class TestUpdate:
         fresh = build(values, p)
         if matrix:
             tree, fresh = tree._tree, fresh._tree
+        tree.query_pnorm_power()
         assert tree._nodes.tobytes() == fresh._nodes.tobytes()  # the signed leaves too
+
+
+def _same(a, b):
+    """Exact equality of read results: arrays bit for bit, tuples item by item."""
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+def _sampler_reads(mt, rng):
+    sampler = CombinationSampler(mt, np.linspace(-1.0, 2.0, mt.shape[1]))
+    return sampler._ratios, [sampler.sample(rng).index for _ in range(5)], sampler.sample_many(rng, 20)
+
+
+_VECTOR_READS = {
+    "query_pnorm_power": lambda t, rng: t.query_pnorm_power(),
+    "probabilities": lambda t, rng: t.probabilities(),
+    "sample_index": lambda t, rng: [t.sample_index(rng) for _ in range(8)],
+    "sample_indices": lambda t, rng: t.sample_indices(rng, 64),
+    "audit": lambda t, rng: t.audit(),
+    "estimate_inner_product": lambda t, rng: estimate_inner_product(
+        t, np.linspace(-1.0, 1.0, len(t)), 0.5, 0.5, rng),
+}
+_MATRIX_READS = {
+    "query_pnorm_power": lambda mt, rng: mt._tree.query_pnorm_power(),
+    "sample_row": lambda mt, rng: [mt.sample_row(j, rng) for j in range(mt.shape[1])],
+    "sample_rows": lambda mt, rng: mt.sample_rows(np.arange(mt.shape[1]).repeat(3), rng),
+    "sample_entry": lambda mt, rng: [mt.sample_entry(rng) for _ in range(8)],
+    "sample_entries": lambda mt, rng: mt.sample_entries(rng, 64),
+    "column_pnorm_powers": lambda mt, rng: mt.column_pnorm_powers(),
+    "audit": lambda mt, rng: mt.audit(),
+    "estimate_trace_inner_product": lambda mt, rng: estimate_trace_inner_product(
+        mt, np.linspace(-1.0, 1.0, mt.shape[0]), np.linspace(1.0, 2.0, mt.shape[1]), 0.5, 0.5, rng),
+    "CombinationSampler": _sampler_reads,
+}
+
+
+class TestPendingWrites:
+    """Updates write their leaves only; the first read after a burst of them must
+    give exactly what a fresh build of the same values gives, whether the sums
+    are brought up to date by root-path walks (few writes) or by a rebuild."""
+
+    @pytest.mark.parametrize("walk", [True, False], ids=["walk", "rebuild"])
+    @pytest.mark.parametrize("matrix,shape", [
+        (False, (1,)), (False, (2,)), (False, (4,)), (False, (3000,)),
+        (True, (1, 1)), (True, (2, 1)), (True, (2, 2)), (True, (100, 60)),
+    ])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_every_read_matches_a_fresh_build(self, p, matrix, shape, walk):
+        build, reads = (build_matrix_tree, _MATRIX_READS) if matrix else (build_vector_tree, _VECTOR_READS)
+        base = stream(65, len(shape)).uniform(0.5, 2.0, size=shape)
+        base.flat[::3] *= -1.0
+        values = base.copy()
+        rng = stream(66, values.size)
+        count = 3 if walk else 200  # below and above every tree's _rebuild_at
+        steps = [(np.unravel_index(int(k), shape), v) for k, v in
+                 zip(rng.integers(0, values.size, count), rng.uniform(-3.0, 3.0, count).tolist())]
+        for at, v in steps:
+            values[at] = v
+        fresh = build(values, p)
+        fresh_bytes = (fresh._tree if matrix else fresh)._nodes.tobytes()
+        for name, read in reads.items():
+            tree = build(base, p)
+            for at, v in steps:
+                tree.update_entry(*(int(c) for c in at), v)
+            vt = tree._tree if matrix else tree
+            if vt._capacity >= 4:
+                assert (len(vt._pending) < vt._rebuild_at) == walk
+            got, want = read(tree, stream(67, 0)), read(fresh, stream(67, 0))
+            assert _same(got, want), name
+            assert not vt._pending and vt._nodes.tobytes() == fresh_bytes, name
 
 
 class TestQuery:
@@ -546,6 +661,7 @@ class TestInvariants:
             if stage:
                 for k, x in steps:
                     tree.update_entry(*(int(c) for c in np.unravel_index(k, shape)), x)
+                vt.query_pnorm_power()
             nodes, cap = full_heap(vt), vt._capacity
             assert nodes[0] == 0.0 and nodes.size == 2 * cap
             v = np.arange(1, cap)
@@ -577,6 +693,7 @@ class TestInvariants:
         vt = tree._tree if matrix else tree
         for k, x in data.draw(st.lists(st.tuples(st.integers(0, m * n - 1), value), max_size=30)):
             tree.update_entry(*(int(c) for c in np.unravel_index(k, shape)), x)
+        vt.query_pnorm_power()
         cap, leaf0 = vt._capacity, vt._leaf0
         heap = heap_from_leaves(leaf_magnitudes(vt), cap)
         assert vt._nodes[:leaf0].tobytes() == heap[:leaf0].tobytes()
