@@ -12,8 +12,7 @@ are byte-reproducible for a fixed seed; timestamps live only in the manifest.
 Exit codes: 0 success; 2 usage (a bad flag, a seed, count, exponent or
 probability out of range, neither or both of --matrix/--synthetic); 3 data
 error (a bad config value or ``$LPSAMPLE_SEED``, a DFE run whose counts or
-labels exceed int64, or a moment or result that overflows, included); 4
-internal invariant violation.
+labels exceed int64, or a moment or result that overflows, included).
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from . import __version__
 from .dfe import NoiseModel, TargetState, bound_comparison, depolarizing, no_noise, run_dfe
 from .estimators import error_scale, estimate_inner_product
 from .lincomb import NonTerminationError, _stderr, measure_mp, mp_curve, run_ratio_experiment
-from .ptree import EmptyDistributionError, TreeAuditError, WeightedVectorTree
+from .ptree import EmptyDistributionError, WeightedVectorTree
 from .randkit import DistributionSpec, normal, parse_distribution, stream
 from .sparseio import SparseFormatError, SparseMatrix, load_matrix, synthetic_sparse
 
@@ -46,7 +45,6 @@ SEED_ENV_VAR = "LPSAMPLE_SEED"
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
-EXIT_INTERNAL = 4
 
 # most steps a start:stop:step p grid may take; each point costs a full mp_curve pass
 MAX_P_GRID = 10_000
@@ -570,9 +568,6 @@ def main(argv=None) -> int:
     except (DataError, SparseFormatError, NonTerminationError, EmptyDistributionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except TreeAuditError as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

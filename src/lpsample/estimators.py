@@ -69,11 +69,7 @@ class EstimateReport:
     """Outcome of one median-of-means estimation run."""
 
     estimate: float
-    epsilon: float
-    delta: float
     error_scale: float | None
-    groups: int
-    samples_per_group: int
     total_samples: int
 
 
@@ -110,7 +106,7 @@ def estimate_inner_product(
     groups, per_group, idx, weights = _draw_weights(tree, epsilon, delta, rng)
     estimate = _median_of_means(weights * y[idx], groups, per_group)
     scale = error_scale(tree.entries(), y, tree.p) if compute_scale else None
-    return EstimateReport(estimate, float(epsilon), float(delta), scale, groups, per_group, groups * per_group)
+    return EstimateReport(estimate, scale, groups * per_group)
 
 
 def estimate_trace_inner_product(
@@ -133,7 +129,7 @@ def estimate_trace_inner_product(
     groups, per_group, idx, weights = _draw_weights(matrix_tree._tree, epsilon, delta, rng)
     cols, rows = np.divmod(idx, matrix_tree._stride)
     estimate = _median_of_means(weights * x[rows] * y[cols], groups, per_group)
-    return EstimateReport(estimate, float(epsilon), float(delta), None, groups, per_group, groups * per_group)
+    return EstimateReport(estimate, None, groups * per_group)
 
 
 @_finite_result

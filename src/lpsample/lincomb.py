@@ -36,13 +36,12 @@ __all__ = [
     "mp_curve",
 ]
 
-_DEFAULT_ITERATION_CAP = 1_000_000
 # fresh (A, x) draws allowed per trial while Ax is exactly zero
 _MAX_REDRAWS = 100
 
 
 class NonTerminationError(RuntimeError):
-    """The rejection loop hit its iteration cap (typically Ax = 0)."""
+    """The rejection loop hit its iteration cap."""
 
     def __init__(self, iterations: int):
         super().__init__(
@@ -65,12 +64,8 @@ class RejectionSampleResult:
 class MpReport:
     """Exact and measured expected iterations per accepted sample."""
 
-    p: float
-    m: int
-    n: int
     exact: float
     empirical: float | None
-    trials: int
     stderr: float | None = None
 
 
@@ -78,11 +73,6 @@ class MpReport:
 class RatioExperimentReport:
     """Mean M(1), M(2) and their per-instance ratio over random draws."""
 
-    m: int
-    n: int
-    trials: int
-    spec_a: str
-    spec_x: str
     m1: MpReport
     m2: MpReport
     mean_ratio: float
@@ -152,7 +142,12 @@ class CombinationSampler:
     The ratios come from one pass over the tree's leaves, the same order of
     work as the tree build: the denominators are ``n^(p-1) * (|x|^p @ |leaves|)``
     and need no power, and only the m numerators ``|(Ax)_i|^p`` take one.
-    Rows that no proposal can reach get ratio 0.  Each :meth:`sample`
+    Rows that no proposal can reach get ratio 0.  The sum of the denominators
+    over the sum of the numerators is M, the expected proposals per accepted
+    sample (:func:`exact_m` to within rounding), and the sampling loops raise
+    :class:`NonTerminationError` after ``10^4 * ceil(M)`` proposals.  Ax = 0,
+    where every numerator is zero, raises ``ValueError``, and so does a sum
+    that is not finite.  Each :meth:`sample`
     iteration then costs one column draw, one row draw and one table read.
     The ``queries`` it reports still count the sample-and-query model, 2n
     setup queries plus n entry queries per iteration, not leaf reads.
@@ -160,7 +155,7 @@ class CombinationSampler:
     A sampler is a snapshot of its tree: after ``update_entry``, build a new one.
     """
 
-    def __init__(self, matrix_tree: WeightedMatrixTree, x, *, expected_iterations: float | None = None):
+    def __init__(self, matrix_tree: WeightedMatrixTree, x):
         self._mt = matrix_tree
         m, n = matrix_tree.shape
         p = matrix_tree.p
@@ -173,17 +168,17 @@ class CombinationSampler:
         if self._proposal_tree.query_pnorm_power() == 0.0:
             raise EmptyDistributionError("every term x_j * column_j is zero")
         self._n = n
-        if expected_iterations is not None:
-            self._cap = 10_000 * max(1, math.ceil(expected_iterations))
-        else:
-            self._cap = _DEFAULT_ITERATION_CAP
 
         # the module docstring's r_i for every row, over the (n, m) view of the signed leaves
         leaves = matrix_tree._columns()
         denominators = n ** (p - 1.0) * (x_powers @ np.abs(leaves))
         numerators = _magnitudes(x @ _signed_values(leaves, p), p)
-        if not (np.all(np.isfinite(denominators)) and np.all(np.isfinite(numerators))):
+        numerator_sum, denominator_sum = float(numerators.sum()), float(denominators.sum())
+        if not (math.isfinite(numerator_sum) and math.isfinite(denominator_sum)):
             raise ValueError(_NOT_FINITE)
+        if numerator_sum == 0.0:
+            raise ValueError("Ax is zero: the target distribution is undefined")
+        self._cap = 10_000 * math.ceil(denominator_sum / numerator_sum)
         self._ratios = np.zeros(m)
         np.divide(numerators, denominators, out=self._ratios, where=denominators > 0.0)
 
@@ -241,16 +236,15 @@ def measure_mp(A, x, p: float, samples: int, rng: np.random.Generator) -> MpRepo
     ``stderr`` are ``None``) and ``rng`` is not used.
     """
     A = np.asarray(A, dtype=np.float64)
-    m, n = A.shape
     exact = exact_m(A, x, p)
     if samples == 0:
-        return MpReport(p, m, n, exact, None, 0)
-    sampler = CombinationSampler(WeightedMatrixTree(A, p), x, expected_iterations=exact)
+        return MpReport(exact, None)
+    sampler = CombinationSampler(WeightedMatrixTree(A, p), x)
     _, proposals = sampler.sample_many(rng, samples)
     empirical = proposals / samples
     # proposals per accepted sample are geometric with mean M
     stderr = math.sqrt(max(exact * (exact - 1.0), 0.0) / samples)
-    return MpReport(p, m, n, exact, empirical, samples, stderr)
+    return MpReport(exact, empirical, stderr)
 
 
 @_finite_result
@@ -312,17 +306,12 @@ def run_ratio_experiment(
     (m1, m2), redraws = _trial_table(spec_a, spec_x, m, n, [1.0, 2.0], trials, seed)
     ratio = m2 / m1
 
-    def _report(p, vals):
-        return MpReport(p, m, n, float(vals.mean()), None, trials, _stderr(vals))
+    def _report(vals):
+        return MpReport(float(vals.mean()), None, _stderr(vals))
 
     return RatioExperimentReport(
-        m=m,
-        n=n,
-        trials=trials,
-        spec_a=spec_a.label(),
-        spec_x=spec_x.label(),
-        m1=_report(1.0, m1),
-        m2=_report(2.0, m2),
+        m1=_report(m1),
+        m2=_report(m2),
         mean_ratio=float(ratio.mean()),
         stderr_ratio=_stderr(ratio),
         redraws=redraws,

@@ -471,8 +471,12 @@ class WeightedVectorTree:
         for a, b, children in self._children(False, np.empty(min(2 * _BLOCK, 2 * self._leaf0))):
             np.add(children[::2], children[1::2], out=self._nodes[a:b])
 
-    def audit(self, rel_tol: float = 1e-9) -> None:
-        """Check structural invariants; raise :class:`TreeAuditError` on failure."""
+    def audit(self) -> None:
+        """Check structural invariants; raise :class:`TreeAuditError` on failure.
+
+        Every stored sum must equal the sum of its children bit for bit: pending
+        writes are settled first, and settled sums have the bits of a fresh build.
+        """
         if self._pending:
             self._settle()
         nodes = self._nodes
@@ -485,15 +489,13 @@ class WeightedVectorTree:
         if nodes[0] != 0.0 or np.count_nonzero(nodes[self._leaf0 + self._n :]):
             raise TreeAuditError("slot 0 and the padding leaves must stay zero")
         # block by block from the root, so the first bad node found has the lowest heap
-        # index; the work rows (sums, tolerances, gaps, two of leaf weights) hold a block
-        work, bad = np.empty((5, _BLOCK)), np.empty(_BLOCK, dtype=bool)
-        for a, b, children in self._children(True, work[3:].reshape(-1)):
+        # index; the work rows (sums, two of leaf weights) hold a block
+        work, bad = np.empty((3, _BLOCK)), np.empty(_BLOCK, dtype=bool)
+        for a, b, children in self._children(True, work[1:].reshape(-1)):
             parents = nodes[a:b]
-            sums, tol, gap = work[:3, : b - a]
+            sums = work[0, : b - a]
             np.add(children[::2], children[1::2], out=sums)
-            np.multiply(rel_tol, np.maximum(np.abs(parents, out=tol), np.abs(sums, out=gap), out=tol), out=tol)
-            np.abs(np.subtract(parents, sums, out=gap), out=gap)
-            if np.greater(gap, tol, out=bad[: b - a]).any():
+            if np.not_equal(parents, sums, out=bad[: b - a]).any():
                 k = int(bad[: b - a].argmax())
                 raise TreeAuditError(
                     f"node {a + k} holds {parents[k]!r} but its children sum to {sums[k]!r}"
@@ -602,9 +604,9 @@ class WeightedMatrixTree:
         """Signed entries reconstructed from the leaves, as a new (m, n) array."""
         return _signed_values(self._columns(), self.p).T
 
-    def audit(self, rel_tol: float = 1e-9) -> None:
+    def audit(self) -> None:
         """Check the vector tree's invariants and that every padding row is zero."""
-        self._tree.audit(rel_tol)
+        self._tree.audit()
         padding = self._tree._leaves.reshape(self._n, self._stride)[:, self._m :]
         if np.any(padding != 0.0):
             raise TreeAuditError("padding rows must stay zero")

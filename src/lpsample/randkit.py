@@ -24,10 +24,6 @@ __all__ = [
     "gaussian_abs_moment",
     "normal",
     "uniform",
-    "laplace",
-    "exponential",
-    "beta",
-    "gamma",
 ]
 
 _FAMILY_ARITY = {
@@ -154,22 +150,6 @@ def normal(mu: float, sigma: float) -> DistributionSpec:
 
 def uniform(a: float, b: float) -> DistributionSpec:
     return DistributionSpec("uniform", (a, b))
-
-
-def laplace(mu: float, scale: float) -> DistributionSpec:
-    return DistributionSpec("laplace", (mu, scale))
-
-
-def exponential(rate: float) -> DistributionSpec:
-    return DistributionSpec("exponential", (rate,))
-
-
-def beta(a: float, b: float) -> DistributionSpec:
-    return DistributionSpec("beta", (a, b))
-
-
-def gamma(shape: float, scale: float) -> DistributionSpec:
-    return DistributionSpec("gamma", (shape, scale))
 
 
 def parse_distribution(text: str) -> DistributionSpec:

@@ -39,7 +39,8 @@ _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
 class SparseFormatError(ValueError):
-    """A sparse matrix file failed validation; the message names the line."""
+    """A sparse matrix file failed validation; the message names the line (or the byte
+    of a file that is not UTF-8 text)."""
 
 
 @dataclass
@@ -304,7 +305,11 @@ def _load_chunked(path, fmt: str) -> SparseMatrix | None:
 def _load_lines(path, fmt: str) -> SparseMatrix:
     """The matrix, read as lines; names the first bad line of a rejected file."""
     with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+        try:
+            lines = handle.read().splitlines()
+        except UnicodeDecodeError as exc:  # one read of the whole file, so exc.start is its byte offset
+            raise SparseFormatError(f"byte {exc.start}: not UTF-8 text; "
+                                    "sparse input must be uncompressed UTF-8") from None
     fmt, m, n, nnz, first = _read_header(iter(lines), fmt)
     table = _parse_entries(lines, first, *_SYNTAX[fmt], m, n)
     if nnz is not None and table.size != nnz:

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import gzip
 import hashlib
 import json
 import math
@@ -442,6 +443,17 @@ class TestIngest:
 
     def test_missing_file(self, tmp_path, capsys):
         assert run(["ingest", tmp_path / "nope.csv"]) == EXIT_DATA
+
+    @pytest.mark.parametrize("name, data", [
+        ("a.mtx.gz", gzip.compress(b"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 2\n", mtime=0)),
+        ("b.csv", b"2,2\n# caf\xe9\n1,1,2\n"),
+    ], ids=["gzip", "latin-1-comment"])
+    def test_a_file_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert run(["ingest", path]) == EXIT_DATA
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "not UTF-8 text" in lines[0]
 
     def test_config_is_a_usage_error(self, ratings_file, tmp_path):
         config = tmp_path / "config.json"

@@ -15,7 +15,7 @@ from lpsample.estimators import (
     mom_counts,
 )
 from lpsample.ptree import EmptyDistributionError, build_matrix_tree, build_vector_tree
-from lpsample.randkit import exponential, laplace, normal, stream, uniform
+from lpsample.randkit import normal, parse_distribution, stream, uniform
 
 from oracles import enumerate_inner_product_estimator, enumerate_trace_estimator
 
@@ -31,7 +31,8 @@ class TestMomCounts:
     def test_report_counts_consistent(self):
         tree = build_vector_tree([1.0, 2.0], 1)
         rep = estimate_inner_product(tree, [1.0, 1.0], 0.2, 0.2, stream(0, 0))
-        assert rep.total_samples == rep.groups * rep.samples_per_group
+        groups, per = mom_counts(0.2, 0.2)
+        assert rep.total_samples == groups * per
 
     def test_invalid_epsilon_delta(self):
         for eps, delta in ((0.0, 0.1), (0.1, 0.0), (1.0, 0.1), (0.1, 1.5)):
@@ -226,7 +227,7 @@ class TestImprovementFactor:
 
     def test_laplace_closed_form(self):
         # E X^2 = 2 b^2 and E|X| = b for the centered laplace
-        value = empirical_improvement_factor(laplace(0, 1), 64, 20_000, stream(11, 0))
+        value = empirical_improvement_factor(parse_distribution("laplace:0,1"), 64, 20_000, stream(11, 0))
         assert value == pytest.approx(2.0, rel=0.05)
 
     def test_monte_carlo_identity_quick(self):
@@ -234,7 +235,7 @@ class TestImprovementFactor:
         assert value == pytest.approx(math.pi / 2, rel=0.05)
 
     def test_nonzero_mean_rejected(self):
-        for spec in (exponential(1), normal(1e-13, 1)):
+        for spec in (parse_distribution("exponential:1"), normal(1e-13, 1)):
             with pytest.raises(ValueError):
                 empirical_improvement_factor(spec, 16, 20_000, stream(9, 0))
 
@@ -297,7 +298,7 @@ class TestTraceEstimator:
 
 class TestEstimatorGolden:
     """sha256 of both estimators' reports (``estimate`` as ``float.hex``,
-    ``groups``, ``samples_per_group``, ``total_samples``, ``error_scale``) on
+    the run's ``mom_counts``, ``total_samples``, ``error_scale``) on
     vectors and matrices with zero entries, the matrices' columns padded.  The
     code behind the estimators may move; their bits may not.  The scale is
     asked for only at p <= 2: p = 3 with a zero x_i facing a nonzero y_i has
@@ -319,7 +320,8 @@ class TestEstimatorGolden:
             x[1::3] = 0.0
             y = stream(92, k).normal(size=n)
             tree = build_vector_tree(x, p)
-            reports.append(estimate_inner_product(tree, y, *tolerances[k], stream(93, k), compute_scale=p <= 2.0))
+            reports.append((estimate_inner_product(tree, y, *tolerances[k], stream(93, k), compute_scale=p <= 2.0),
+                            tolerances[k]))
         for k, (m, n) in enumerate(((7, 3), (300, 5))):
             A = stream(94, k).normal(size=(m, n))
             A[::4] = 0.0
@@ -327,11 +329,11 @@ class TestEstimatorGolden:
             x[2::5] = 0.0
             y = stream(96, k).normal(size=n)
             mt = build_matrix_tree(A, p)
-            reports.append(estimate_trace_inner_product(mt, x, y, *tolerances[k], stream(97, k)))
+            reports.append((estimate_trace_inner_product(mt, x, y, *tolerances[k], stream(97, k)), tolerances[k]))
         digest = hashlib.sha256()
-        for rep in reports:
+        for rep, tolerance in reports:
             scale = None if rep.error_scale is None else rep.error_scale.hex()
-            fields = (rep.estimate.hex(), rep.groups, rep.samples_per_group, rep.total_samples, scale)
+            fields = (rep.estimate.hex(), *mom_counts(*tolerance), rep.total_samples, scale)
             digest.update(repr(fields).encode())
         return digest.hexdigest()
 

@@ -15,7 +15,7 @@ from lpsample.lincomb import (
     theoretical_mp,
 )
 from lpsample.ptree import EmptyDistributionError, build_matrix_tree
-from lpsample.randkit import exponential, laplace, moment_profile, normal, stream, uniform
+from lpsample.randkit import DistributionSpec, moment_profile, normal, parse_distribution, stream, uniform
 
 from oracles import acceptance_ratios, combination_distribution, exact_m_one_p, tv_distance
 
@@ -252,12 +252,30 @@ class TestRejectionSampler:
             counts[sampler.sample(rng).index] += 1
         assert tv_distance(counts / counts.sum(), target) < 0.02
 
-    def test_zero_combination_hits_cap(self):
+    def test_zero_combination_rejected_at_construction(self):
         mt = build_matrix_tree(np.array([[1.0, -1.0]]), 1.0)
-        # expected_iterations=1 caps the loop at 10^4 proposals
+        with pytest.raises(ValueError, match="Ax is zero"):
+            CombinationSampler(mt, [1.0, 1.0])
+
+    def test_cap_is_ten_thousand_times_ceil_exact_m(self):
+        rng = stream(58, 0)
+        for trial in range(200):
+            m, n = (int(k) for k in rng.integers(2, 9, size=2))
+            A = rng.normal(size=(m, n))
+            x = rng.normal(size=n)
+            p = (1.0, 1.5, 2.0, 3.0)[trial % 4]
+            expected = exact_m(A, x, p)
+            # away from an integer, so the ceiling pins M to within a few ulps
+            assert math.ceil(expected * (1 - 1e-14)) == math.ceil(expected * (1 + 1e-14))
+            assert CombinationSampler(build_matrix_tree(A, p), x)._cap == 10_000 * math.ceil(expected)
+
+    def test_a_loop_that_never_accepts_stops_at_the_cap(self):
+        # M = 1.5 at p = 1, so the cap is 20 000 proposals
+        sampler = CombinationSampler(build_matrix_tree(COUNTER_A, 1.0), COUNTER_X)
+        sampler._ratios[:] = 0.0
         with pytest.raises(NonTerminationError) as caught:
-            CombinationSampler(mt, [1.0, 1.0], expected_iterations=1).sample(stream(52, 0))
-        assert caught.value.iterations == 10_000
+            sampler.sample(stream(52, 0))
+        assert caught.value.iterations == 20_000
 
     def test_zero_weights_rejected(self):
         mt = build_matrix_tree(np.array([[1.0, 1.0]]), 1.0)
@@ -279,7 +297,7 @@ class TestMeasureMp:
         rng = stream(57, 0)
         report = measure_mp(COUNTER_A, COUNTER_X, 2.0, 0, rng)
         assert report.exact == exact_m(COUNTER_A, COUNTER_X, 2.0)
-        assert (report.empirical, report.stderr, report.trials) == (None, None, 0)
+        assert (report.empirical, report.stderr) == (None, None)
         assert rng.random() == stream(57, 0).random()  # the stream was not advanced
 
 
@@ -312,7 +330,7 @@ class TestTheory:
         assert not a.outside_theory
 
     def test_ratio_experiment_flags_nonzero_mean(self):
-        rep = run_ratio_experiment(12, 4, exponential(1), normal(0, 1), 10, seed=3)
+        rep = run_ratio_experiment(12, 4, parse_distribution("exponential:1"), normal(0, 1), 10, seed=3)
         assert rep.outside_theory
 
     def test_redraw_counting(self):
@@ -360,17 +378,18 @@ class TestTheory:
             return moment_profile(*args, **kwargs)
 
         monkeypatch.setattr(lincomb, "moment_profile", counted)
-        both = mp_curve(16, [4, 8], laplace(0, 1), [1.0, 1.5], 5, seed=3)
+        spec = parse_distribution("laplace:0,1")
+        both = mp_curve(16, [4, 8], spec, [1.0, 1.5], 5, seed=3)
         assert len(calls) == 1
-        assert both == mp_curve(16, 4, laplace(0, 1), [1.0, 1.5], 5, seed=3) + mp_curve(
-            16, 8, laplace(0, 1), [1.0, 1.5], 5, seed=3
+        assert both == mp_curve(16, 4, spec, [1.0, 1.5], 5, seed=3) + mp_curve(
+            16, 8, spec, [1.0, 1.5], 5, seed=3
         )
         assert [(pt.n, pt.p) for pt in both] == [(4, 1.0), (4, 1.5), (8, 1.0), (8, 1.5)]
 
     @pytest.mark.parametrize("b", [0.5, 3.0])
     def test_laplace_theory_is_the_closed_form_limit(self, b):
         # mu_p = b^p Gamma(p + 1), and mu~_p = E|Z|^p for Z ~ N(0, (2 b^2)^2)
-        for pt in mp_curve(8, [4, 16], laplace(0, b), [1.0, 1.5, 2.0, 3.0], 2, seed=1):
+        for pt in mp_curve(8, [4, 16], DistributionSpec("laplace", (0, b)), [1.0, 1.5, 2.0, 3.0], 2, seed=1):
             p, n = pt.p, pt.n
             mu_tilde = (2 * b * b) ** p * 2 ** (p / 2) * math.gamma((p + 1) / 2) / math.sqrt(math.pi)
             expected = n ** (p / 2) * math.gamma(p + 1) ** 2 * b ** (2 * p) / mu_tilde
@@ -383,7 +402,7 @@ class TestTheory:
             run_ratio_experiment(4, 3, normal(0, 1), normal(0, 1), 0, seed=1)
 
     def test_mp_curve_no_theory_for_nonzero_mean(self):
-        points = mp_curve(16, 8, exponential(1), [1.0, 2.0], 10, seed=1)
+        points = mp_curve(16, 8, parse_distribution("exponential:1"), [1.0, 2.0], 10, seed=1)
         assert all(pt.theory_m is None for pt in points)
 
     def test_uniform_small_n_prediction_below_truth(self):

@@ -604,7 +604,7 @@ class TestInvariants:
             i = i % len(values)
             tree.update_entry(i, v)
             reference[i] = v
-        tree.audit(rel_tol=1e-9)
+        tree.audit()
         expected_root = float(np.sum(np.abs(reference) ** p))
         assert tree.query_pnorm_power() == pytest.approx(expected_root, rel=1e-9, abs=1e-12)
 
@@ -612,6 +612,15 @@ class TestInvariants:
         tree = build_vector_tree([1, 2, 3, 4], 1)
         tree._nodes[1] *= 1.5  # the root
         with pytest.raises(TreeAuditError):
+            tree.audit()
+
+    @pytest.mark.parametrize("node", [1, 2, 300, 700])  # 700: on the lowest stored level
+    def test_audit_detects_a_sum_one_ulp_off(self, node):
+        tree = build_vector_tree(stream(94, 0).normal(size=1500), 1.5)
+        tree.audit()
+        tree._nodes[node] = np.nextafter(tree._nodes[node], math.inf)
+        # found at its parent, unless the parent's sum rounds the ulp away
+        with pytest.raises(TreeAuditError, match=f"node ({node // 2}|{node}) holds .* but its children sum to"):
             tree.audit()
 
     @pytest.mark.parametrize("n", [1, 4, 5])

@@ -5,11 +5,7 @@ import pytest
 
 from lpsample.randkit import (
     DistributionSpec,
-    beta,
-    exponential,
-    gamma,
     gaussian_abs_moment,
-    laplace,
     moment_profile,
     normal,
     parse_distribution,
@@ -24,12 +20,12 @@ ALL_SPECS = [
     normal(2, 0.5),
     uniform(-1, 1),
     uniform(1, 5),
-    laplace(0, 1),
-    laplace(1, 1),
-    exponential(1),
-    beta(2, 2),
-    beta(5, 2),
-    gamma(2, 2),
+    parse_distribution("laplace:0,1"),
+    parse_distribution("laplace:1,1"),
+    parse_distribution("exponential:1"),
+    parse_distribution("beta:2,2"),
+    parse_distribution("beta:5,2"),
+    parse_distribution("gamma:2,2"),
 ]
 
 
@@ -54,7 +50,7 @@ class TestSpecValidation:
     def test_parse_round_trip(self):
         spec = parse_distribution("normal:0,1")
         assert spec == normal(0, 1)
-        assert parse_distribution("beta:5,2") == beta(5, 2)
+        assert parse_distribution("beta:5,2") == DistributionSpec("beta", (5, 2))
         assert parse_distribution(" Uniform:-1,1 ") == uniform(-1, 1)
         assert parse_distribution("exponential:1").label() == "exponential:1"
 
@@ -79,13 +75,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             normal(0, 0)
         with pytest.raises(ValueError):
-            laplace(0, -1)
+            parse_distribution("laplace:0,-1")
         with pytest.raises(ValueError):
-            exponential(0)
+            parse_distribution("exponential:0")
         with pytest.raises(ValueError):
-            beta(0, 1)
+            parse_distribution("beta:0,1")
         with pytest.raises(ValueError):
-            gamma(1, 0)
+            parse_distribution("gamma:1,0")
 
 
 class TestDraws:
@@ -101,7 +97,7 @@ class TestDraws:
         assert abs(np.abs(x).mean() - target) < 0.005
 
     def test_exponential_mean(self):
-        x = exponential(1).sample(stream(3, 0), 1_000_000)
+        x = parse_distribution("exponential:1").sample(stream(3, 0), 1_000_000)
         assert abs(x.mean() - 1.0) < 0.005
 
     @pytest.mark.parametrize("case", list(enumerate(ALL_SPECS)), ids=lambda c: c[1].label())
@@ -149,7 +145,7 @@ class TestMomentProfile:
     @pytest.mark.parametrize("b", [0.5, 1.0, 3.0])
     def test_laplace_matches_quadrature(self, b):
         # |X| is exponential with mean b, so E|X|^p = b^p Gamma(p + 1)
-        for prof in moment_profile(laplace(0, b), [1.0, 1.5, 2.0, 3.0]):
+        for prof in moment_profile(DistributionSpec("laplace", (0, b)), [1.0, 1.5, 2.0, 3.0]):
             assert prof.mu_p == pytest.approx(quad_laplace_abs_moment(b, prof.p), rel=1e-10)
             # the variance is 2 b^2, so mu~_p is E|Z|^p for Z ~ N(0, (2 b^2)^2)
             assert prof.mu_tilde_p == pytest.approx(quad_gaussian_abs_moment(2.0 * b * b, prof.p), rel=1e-10)
@@ -160,7 +156,8 @@ class TestMomentProfile:
         grid = [1.0, 1.25, 1.5, 2.0, 3.0]
         assert moment_profile(spec, grid) == [moment_profile(spec, p) for p in grid]
 
-    @pytest.mark.parametrize("spec", [beta(5, 2), gamma(2, 2), exponential(1), normal(1, 1), laplace(1, 1)],
+    @pytest.mark.parametrize("spec", [*map(parse_distribution, ["beta:5,2", "gamma:2,2", "exponential:1"]),
+                                      normal(1, 1), parse_distribution("laplace:1,1")],
                              ids=lambda spec: spec.label())
     def test_no_closed_form_raises(self, spec):
         with pytest.raises(ValueError, match="not a zero-mean normal, uniform or laplace family"):
@@ -168,8 +165,8 @@ class TestMomentProfile:
 
     @pytest.mark.parametrize(
         "spec,p",
-        [(normal(0, 1e100), 2.0), (laplace(0, 1e200), 1.0), (uniform(-1e120, 1e120), 3.0),
-         (laplace(0, 1), 200.0), (normal(0, 1), 1000.0)],
+        [(normal(0, 1e100), 2.0), (parse_distribution("laplace:0,1e200"), 1.0), (uniform(-1e120, 1e120), 3.0),
+         (parse_distribution("laplace:0,1"), 200.0), (normal(0, 1), 1000.0)],
         ids=["normal-float-pow", "laplace-variance", "uniform-mu-p", "laplace-gamma", "normal-gamma"],
     )
     def test_overflowing_moment_raises_value_error(self, spec, p):
@@ -185,7 +182,7 @@ class TestMomentProfile:
 class TestGoodmanIdentity:
     def test_product_variance(self):
         # Var(XY) = (sx^2 + mx^2)(sy^2 + my^2) - mx^2 my^2 for independent X, Y
-        spec_x, spec_y = gamma(2, 2), normal(1, 2)
+        spec_x, spec_y = parse_distribution("gamma:2,2"), normal(1, 2)
         rng = stream(31, 0)
         x = spec_x.sample(rng, 2_000_000)
         y = spec_y.sample(rng, 2_000_000)

@@ -1,3 +1,4 @@
+import gzip
 import os
 import re
 import threading
@@ -112,6 +113,21 @@ class TestMatrixMarket:
         # np.loadtxt decompresses a path by its suffix; the loader reads every file as text
         path = write(tmp_path, name, self.HEADER + "2 2 1\n2 1 3\n")
         assert to_dense(load_matrix(path)).tolist() == [[0.0, 0.0], [3.0, 0.0]]
+
+
+NOT_UTF8 = {
+    "a.mtx.gz": gzip.compress(b"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 2\n", mtime=0),
+    "b.mtx": b"%%MatrixMarket matrix coordinate real general\n% caf\xe9\n2 2 1\n1 1 2\n",
+    "c.csv": b"2,2\n1,1,2 # caf\xe9\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_UTF8))
+def test_a_file_that_is_not_utf8_is_a_format_error(name, tmp_path):
+    path = tmp_path / name
+    path.write_bytes(NOT_UTF8[name])
+    with pytest.raises(SparseFormatError, match="not UTF-8 text"):
+        load_matrix(path)
 
 
 @pytest.mark.parametrize("text, expected", [
