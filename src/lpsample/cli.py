@@ -327,18 +327,20 @@ def _overlap(matrix: SparseMatrix, a: int, b: int) -> int:
     return np.intersect1d(matrix.support(a), matrix.support(b), assume_unique=True).size
 
 
-def _eligible_pairs(matrix: SparseMatrix, pairs: int, min_overlap: int, rng) -> list[tuple[int, int]]:
+def _eligible_pairs(matrix: SparseMatrix, pairs: int, min_overlap: int, rng) -> list[tuple[int, int, int]]:
+    """Row pairs ``(a, b, overlap)`` drawn at random until ``pairs`` overlap in at least ``min_overlap`` columns."""
     candidates = matrix.nonzero_rows()
     if candidates.size < 2:
         raise DataError("matrix has fewer than two nonzero rows")
-    found: list[tuple[int, int]] = []
+    found: list[tuple[int, int, int]] = []
     attempts = 0
     limit = max(2000, 200 * pairs)
     while len(found) < pairs and attempts < limit:
         attempts += 1
         a, b = rng.choice(candidates, size=2, replace=False)
-        if _overlap(matrix, a, b) >= min_overlap:
-            found.append((int(a), int(b)))
+        overlap = _overlap(matrix, a, b)
+        if overlap >= min_overlap:
+            found.append((int(a), int(b), overlap))
     if len(found) < pairs:
         raise DataError(
             f"no eligible pairs: found {len(found)} of {pairs} with overlap >= {min_overlap}"
@@ -351,7 +353,7 @@ def cmd_inner_product(args) -> dict[Path, str]:
     records = []
     if args.pairs > 0:
         rng = stream(args.seed, 1_000_000_000)
-        for k, (a, b) in enumerate(_eligible_pairs(matrix, args.pairs, args.min_overlap, rng)):
+        for k, (a, b, overlap) in enumerate(_eligible_pairs(matrix, args.pairs, args.min_overlap, rng)):
             x, y = matrix.dense_rows([a, b])
             support = np.flatnonzero(x)  # the tree needs only row a's support: zeros are never drawn
             with _data_errors(f"rows {a} and {b}"):
@@ -368,7 +370,7 @@ def cmd_inner_product(args) -> dict[Path, str]:
                 {
                     "row_a": a,
                     "row_b": b,
-                    "overlap": _overlap(matrix, a, b),
+                    "overlap": overlap,
                     "true_inner_product": inner,
                     "estimate": report.estimate,
                     "total_samples": report.total_samples,

@@ -9,10 +9,14 @@ stored: a node there reads as the sum of its two leaves' weights, the bits a
 stored node would hold.
 Sampling an index with probability ``|x_i|**p / root`` and reading an entry or
 the root are O(log n); these scalar operations walk a memoryview of the node
-buffer, on Python floats.  An update writes its leaf and notes its index; the
-first read of a sum after it recomputes every stored ancestor of the noted
-leaves from its children, up each one's root path or, for many, level by level
-over the whole tree, so at every read the sums have the bits of a fresh build.
+buffer, on Python floats.  An update writes its leaf and notes its index: at
+p = 1 or 2, a write that cannot overflow a sum is a range test, float
+arithmetic for the weight and the signed leaf, one compare against the
+overflow bound, one leaf store and one append to a bounded deque.  The first
+read of a sum after it recomputes every stored ancestor of the noted leaves
+from its children, up each one's root path or, for many (the deque full),
+level by level over the whole tree, so at every read the sums have the bits of
+a fresh build.  ``last_op_visits`` reads depth + 1, the root path's nodes.
 A tree is one float64 array: a build holds the caller's input and that array,
 writes the signed leaves straight into their slots, then sums each stored
 level in fixed-size blocks.
@@ -36,6 +40,7 @@ access) and a per-worker random stream.
 
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
@@ -69,13 +74,10 @@ def _check_exponent(p: float) -> float:
     return p
 
 
-_BOOLS = (bool, np.bool_)
-
-
 def _check_index(i: int, size: int, what: str = "index") -> None:
-    """Raise IndexError unless ``i`` lies in [0, size); a bool is never an index."""
-    # a plain int, the common case, skips the isinstance test (about 0.2 us a call)
-    if not 0 <= i < size or (type(i) is not int and isinstance(i, _BOOLS)):
+    """Raise IndexError unless ``i`` is an integer in [0, size); a bool or a float is never an index."""
+    # a plain int, the common case, skips the isinstance tests (about 0.2 us a call)
+    if type(i) is not int and (isinstance(i, bool) or not isinstance(i, (int, np.integer))) or not 0 <= i < size:
         raise IndexError(f"{what} must be an integer in range({size}), got {i!r}")
 
 
@@ -140,15 +142,15 @@ class WeightedVectorTree:
     the leaves.  ``_leaf0`` is ``capacity // 2``, leaving out the level above
     the leaves (12 bytes a leaf slot), unless that level is the root
     (capacity 1 or 2, ``_leaf0 = capacity``).  No node is ``-0.0``.
-    ``_pending`` lists the entries written since the sums were last brought up
-    to date, up to ``_rebuild_at`` of them, and ``_bound`` is at least every
-    sum, stored or pending.  ``last_op_visits`` counts the
-    nodes the last sample visited, or after an update the depth + 1 nodes of
-    the root path that the next read of a sum carries it up.
+    ``_pending`` holds the entries written since the sums were last brought up
+    to date, in a deque of at most ``_rebuild_at`` (full, it means a rebuild),
+    and ``_bound`` is at least every sum, stored or pending.  The read-only
+    ``last_op_visits`` is the depth + 1 nodes of a root path: what a sample
+    visits, and what the next read of a sum carries an update up.
     """
 
     __slots__ = ("_p", "_n", "_capacity", "_leaf0", "_depth", "_nodes", "_view", "_pending", "_rebuild_at",
-                 "_bound", "last_op_visits")
+                 "_bound")
 
     def __init__(self, values, p: float):
         values = np.asarray(values, dtype=np.float64)
@@ -169,11 +171,10 @@ class WeightedVectorTree:
         self._depth = capacity.bit_length() - 1
         self._nodes = np.zeros(self._leaf0 + capacity, dtype=np.float64)
         self._view = memoryview(self._nodes)  # shares _nodes' buffer; reads give floats
-        self._pending = []
         # a rebuild costs about 16 root-path walks plus 2 ns a leaf slot; a tree of
         # capacity 1 or 2 has no leaf quad to walk up from, so it always rebuilds
         self._rebuild_at = 16 + (capacity >> 10) if capacity >= 4 else 1
-        self.last_op_visits = 0
+        self._pending = collections.deque(maxlen=self._rebuild_at)
 
     def _fill(self, values: np.ndarray) -> None:
         """Write the leaves ``copysign(|values|**p, values) + 0.0`` of a fresh heap, then
@@ -204,6 +205,11 @@ class WeightedVectorTree:
 
     def __len__(self) -> int:
         return self._n
+
+    @property
+    def last_op_visits(self) -> int:
+        """Nodes of one root path, depth + 1: what every sample and update visits."""
+        return self._depth + 1
 
     @property
     def _leaves(self) -> np.ndarray:
@@ -279,9 +285,7 @@ class WeightedVectorTree:
         root = abs(self._view[1])  # query_pnorm_power(), without the call
         if root <= 0.0:
             raise EmptyDistributionError("all entries are zero")
-        index = self._descend(rng, 1, self._depth, root)
-        self.last_op_visits = self._depth + 1
-        return index
+        return self._descend(rng, 1, self._depth, root)
 
     def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` independent indices, each with probability ``|x_i|**p / root``.
@@ -380,40 +384,43 @@ class WeightedVectorTree:
 
     def update_entry(self, i: int, value: float) -> None:
         """Set entry i to ``value``; raise ``ValueError`` and leave the tree as it was
-        if the root would not be finite.  Only the leaf is written: the first read of a
-        sum after it brings the sums up to date (see :meth:`_settle`), unless a sum
-        might overflow, which this write then settles and checks at once."""
-        _check_index(i, self._n)
+        if the root would not be finite.  Only the leaf is written and its index noted:
+        the first read of a sum after it brings the sums up to date (see :meth:`_settle`),
+        unless a sum might overflow, which this write then settles and checks at once."""
+        if type(i) is not int or not 0 <= i < self._n:
+            _check_index(i, self._n)
         value = float(value)
+        # the leaf _fill writes, copysign(mag, value) + 0.0, whose weight is mag
         if self._p == 1.0:
-            mag = abs(value)
+            mag, signed = abs(value), value + 0.0
         elif self._p == 2.0:
-            mag = value * value
+            mag, signed = value * value, value * abs(value) + 0.0
         else:
             # At fractional p, Python's ** and NumPy's (SIMD) power can round one ulp
-            # apart, so the general case goes through the constructor's own routine.
-            # The p = 1 and p = 2 branches are already bit-identical to it and keep
-            # the scalar path: an update there takes about 0.4 us, against about 3 us
-            # through a one-element array (a 2^10-leaf tree, no read in between).
+            # apart, so the general case goes through the constructor's own routine,
+            # about 3 us a write against 0.4 us at p = 1 or 2 (2^10 leaves, no read).
             mag = float(_magnitudes(np.array([value]), self._p)[0])
-        self.last_op_visits = self._depth + 1
-        nodes, leaf = self._view, self._leaf0 + i
-        old = nodes[leaf]
-        nodes[leaf] = math.copysign(mag, value) + 0.0  # the leaf _fill writes
-        if len(self._pending) < self._rebuild_at:  # past it, the settle rebuilds
-            self._pending.append(i)
-        self._bound += mag
+            signed = math.copysign(mag, value) + 0.0
         # every sum is at most the root when _bound was last set plus each weight written
         # since, so below 2^1023 none can overflow; a nan or inf fails this test too
-        if not self._bound < 2.0**1023:
-            with np.errstate(over="ignore"):  # a sum that overflows is the error raised below
-                self._settle()
-            self._bound = root = abs(nodes[1])
-            if not math.isfinite(root):
-                nodes[leaf] = old
-                self.rebuild()  # each sum from its children again: the bits before this update, in O(n)
-                self._bound = abs(nodes[1])
-                raise ValueError(f"entry {value} would make the root {root}; it must stay finite")
+        bound = self._bound + mag
+        if bound < 2.0**1023:
+            self._view[self._leaf0 + i] = signed
+            self._pending.append(i)  # a full deque drops its oldest: the settle rebuilds
+            self._bound = bound
+            return
+        nodes, leaf = self._view, self._leaf0 + i
+        old = nodes[leaf]
+        nodes[leaf] = signed
+        self._pending.append(i)
+        with np.errstate(over="ignore"):  # a sum that overflows is the error raised below
+            self._settle()
+        self._bound = root = abs(nodes[1])
+        if not math.isfinite(root):
+            nodes[leaf] = old
+            self.rebuild()  # each sum from its children again: the bits before this update, in O(n)
+            self._bound = abs(nodes[1])
+            raise ValueError(f"entry {value} would make the root {root}; it must stay finite")
 
     def _settle(self) -> None:
         """Bring the sums above every pending leaf up to date.
@@ -596,8 +603,9 @@ class WeightedMatrixTree:
 
     def update_entry(self, i: int, j: int, value: float) -> None:
         """Set A[i, j]; the vector tree's :meth:`~WeightedVectorTree.update_entry` writes it."""
-        _check_index(i, self._m, "row")
-        _check_index(j, self._n, "column")
+        if type(i) is not int or type(j) is not int or not (0 <= i < self._m and 0 <= j < self._n):
+            _check_index(i, self._m, "row")
+            _check_index(j, self._n, "column")
         self._tree.update_entry(j * self._stride + i, value)
 
     def dense(self) -> np.ndarray:

@@ -255,7 +255,7 @@ def dense_from_triplets(m, n, triplets):
 
 
 def eligible_pairs_dense(dense, pairs, min_overlap, rng):
-    """Row pairs drawn as the CLI draws them, from a dense nonzero mask.
+    """Row pairs ``(a, b, overlap)`` drawn as the CLI draws them, from a dense nonzero mask.
 
     Returns the pairs found within the attempt limit (possibly fewer than
     ``pairs``), or None when fewer than two rows hold a nonzero value.
@@ -269,6 +269,7 @@ def eligible_pairs_dense(dense, pairs, min_overlap, rng):
     while len(found) < pairs and attempts < max(2000, 200 * pairs):
         attempts += 1
         a, b = rng.choice(candidates, size=2, replace=False)
-        if int(np.sum(nonzero[a] & nonzero[b])) >= min_overlap:
-            found.append((int(a), int(b)))
+        overlap = int(np.sum(nonzero[a] & nonzero[b]))
+        if overlap >= min_overlap:
+            found.append((int(a), int(b), overlap))
     return found

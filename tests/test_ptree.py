@@ -379,18 +379,20 @@ class TestUpdate:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 3000])
     def test_pending_writes_stay_few(self, n):
         # a long run of writes with no read keeps at most _rebuild_at entries,
-        # fewer than the _leaf0 a tree of 64 entries or more stores, then rebuilds
-        values = stream(63, n).normal(size=n)
-        tree = build_vector_tree(values, 1.5)
-        rng = stream(64, n)
-        for i, v in zip(rng.integers(0, n, 10 * n).tolist(), rng.normal(size=10 * n).tolist()):
-            tree.update_entry(i, v)
-            values[i] = v
-        assert 0 < len(tree._pending) <= tree._rebuild_at
-        assert n < 64 or len(tree._pending) < tree._leaf0
-        tree.query_pnorm_power()
-        assert not tree._pending
-        assert tree._nodes.tobytes() == build_vector_tree(values, 1.5)._nodes.tobytes()
+        # fewer than the _leaf0 a tree of 64 entries or more stores, then rebuilds;
+        # p = 1 and 2 take the write path without a NumPy power, p = 1.5 the one with it
+        for p in (1.0, 1.5, 2.0):
+            values = stream(63, n).normal(size=n)
+            tree = build_vector_tree(values, p)
+            rng = stream(64, n)
+            for i, v in zip(rng.integers(0, n, 10 * n).tolist(), rng.normal(size=10 * n).tolist()):
+                tree.update_entry(i, v)
+                values[i] = v
+            assert 0 < len(tree._pending) <= tree._rebuild_at
+            assert n < 64 or len(tree._pending) < tree._leaf0
+            tree.query_pnorm_power()
+            assert not tree._pending
+            assert tree._nodes.tobytes() == build_vector_tree(values, p)._nodes.tobytes()
 
     @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
     def test_bool_indices_rejected(self, flag):
@@ -415,6 +417,37 @@ class TestUpdate:
         assert mt._tree._nodes.tobytes() == matrix_bytes
         assert mt.dense().tolist() == [[1, 5, 0], [2, 7, 1], [3, 0, 2]]
         assert mt.sample_rows([], stream(0, 0)).tolist() == []
+
+    @pytest.mark.parametrize("index", [2.0, np.float64(1.0), 1.5])
+    def test_float_indices_rejected(self, index):
+        # a float is never an index, even one with an integer value
+        tree = build_vector_tree([-1, 2, -3, 4], 1)
+        mt = build_matrix_tree([[1, 5, 0], [2, 7, 1], [3, 0, 2]], 1)
+        vector_bytes, matrix_bytes = tree._nodes.tobytes(), mt._tree._nodes.tobytes()
+        for call in (lambda: tree.update_entry(index, 5.0), lambda: tree.query_entry(index),
+                     lambda: mt.update_entry(index, 0, 5.0), lambda: mt.update_entry(0, index, 5.0),
+                     lambda: mt.query_entry(index, 0), lambda: mt.query_entry(0, index),
+                     lambda: mt.sample_row(index, stream(0, 0))):
+            with pytest.raises(IndexError, match=r"must be an integer in range\(\d+\), got"):
+                call()
+        tree.query_pnorm_power()
+        mt.column_pnorm_powers()
+        assert tree._nodes.tobytes() == vector_bytes and not tree._pending
+        assert mt._tree._nodes.tobytes() == matrix_bytes and not mt._tree._pending
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_edge_value_leaves_have_the_bits_of_a_build(self, p):
+        # p = 1 writes v + 0.0 and p = 2 writes v * |v| + 0.0, the bits of the build's
+        # copysign(|v|**p, v) + 0.0: -0.0 and a square that underflows are +0.0 leaves;
+        # +-1.3e154 squares past the overflow bound, so its write settles and checks at once
+        edges = [0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e-160, 1e-170, -1e-170, 1.5, -1.5, 1.3e154, -1.3e154]
+        for v in edges:
+            tree = build_vector_tree([3.0, -2.0, 0.5, 1.0, 0.25], p)
+            tree.update_entry(3, v)
+            tree.query_pnorm_power()
+            fresh = build_vector_tree([3.0, -2.0, 0.5, v, 0.25], p)
+            assert tree._nodes.view(np.int64)[tree._leaf0 + 3] == fresh._nodes.view(np.int64)[fresh._leaf0 + 3], v
+            assert tree._nodes.tobytes() == fresh._nodes.tobytes(), v
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_updated_tree_is_bytewise_the_built_tree(self, p):
