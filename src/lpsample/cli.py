@@ -149,6 +149,8 @@ def _synthetic_arg(text: str) -> dict:
         }
         if spec["m"] < 1 or spec["n"] < 1 or not 0.0 < spec["density"] <= 1.0:
             raise ValueError("need m, n >= 1 and density in (0, 1]")
+        if spec["m"] * spec["n"] > np.iinfo(np.int64).max:
+            raise ValueError("m * n must fit in int64")
     except (KeyError, ValueError) as exc:
         raise argparse.ArgumentTypeError(
             f"bad synthetic spec {text!r}; use m=..,n=..,density=..,dist=family:params ({exc})"
@@ -569,6 +571,9 @@ def main(argv=None) -> int:
         return args.func(args) if args.command == "ingest" else _run(args)
     except (DataError, SparseFormatError, NonTerminationError, EmptyDistributionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # a request too large to hold, such as 10^16 draws
+        print(f"error: out of memory: {str(exc) or 'the request is too large'}", file=sys.stderr)
         return EXIT_DATA
 
 

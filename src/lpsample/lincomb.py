@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ptree import EmptyDistributionError, WeightedMatrixTree, WeightedVectorTree, _magnitudes, _signed_values
+from .ptree import (EmptyDistributionError, WeightedMatrixTree, WeightedVectorTree, _check_exponent, _magnitudes,
+                    _signed_values)
 from .randkit import DistributionSpec, MomentProfile, _finite_result, moment_profile, stream
 
 __all__ = [
@@ -121,6 +122,7 @@ def exact_m(A, x, p):
     grid = np.asarray(p, dtype=np.float64)
     out = np.empty(grid.shape)
     for k, q in enumerate(grid.ravel().tolist()):
+        _check_exponent(q)
         denominator = float(np.sum(_magnitudes(combo, q)))
         numerator = float(_magnitudes(x, q) @ np.sum(_magnitudes(A, q), axis=0))
         if not (math.isfinite(numerator) and math.isfinite(denominator)):

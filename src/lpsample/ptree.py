@@ -5,8 +5,9 @@ sign bit that a weight leaves free (at p = 1 a leaf is ``x_i + 0.0`` itself),
 and every internal node holds the sum of its children's weights ``|leaf|``, so
 the root equals ``sum_i |x_i|**p``; the nodes form a 1-based heap (root 1,
 children ``2v`` and ``2v + 1``), except that the level above the leaves is not
-stored: a node there reads as the sum of its two leaves' weights, the bits a
-stored node would hold.
+stored, nor in a tree of 2^22 leaf slots or more the level above that: a node
+there reads as its leaves' weights summed pairwise, the bits a stored node would
+hold.
 Sampling an index with probability ``|x_i|**p / root`` and reading an entry or
 the root are O(log n); these scalar operations walk a memoryview of the node
 buffer, on Python floats.  An update writes its leaf and notes its index: at
@@ -116,6 +117,9 @@ def _apart(like: np.ndarray) -> np.ndarray:
     return buf[shift : shift + like.size]
 
 
+# from this capacity (at least 8) the leaf-quad level is not stored either: 10
+# bytes a leaf slot instead of 12, for one more step read from the leaves a draw
+_UNSTORED_QUADS_FROM = 1 << 22
 _BLOCK = 1 << 11  # nodes a rebuild or audit pass sums at once: 16 KiB rows
 # leaves a build at p != 1 writes at once, through one 128 KiB buffer; at 2^20
 # leaves, p = 1.5, it builds in about 0.85x the time of _BLOCK-long runs
@@ -141,7 +145,9 @@ class WeightedVectorTree:
     ``_nodes`` holds nodes ``0 .. _leaf0 - 1`` (slot 0 unused and zero), then
     the leaves.  ``_leaf0`` is ``capacity // 2``, leaving out the level above
     the leaves (12 bytes a leaf slot), unless that level is the root
-    (capacity 1 or 2, ``_leaf0 = capacity``).  No node is ``-0.0``.
+    (capacity 1 or 2, ``_leaf0 = capacity``); from ``_UNSTORED_QUADS_FROM``
+    (2^22) slots it is ``capacity // 4``, leaving out the leaf-quad level too
+    (10 bytes a slot).  No node is ``-0.0``.
     ``_pending`` holds the entries written since the sums were last brought up
     to date, in a deque of at most ``_rebuild_at`` (full, it means a rebuild),
     and ``_bound`` is at least every sum, stored or pending.  The read-only
@@ -167,7 +173,7 @@ class WeightedVectorTree:
         self._p = p
         self._n = n
         self._capacity = capacity
-        self._leaf0 = capacity // 2 if capacity >= 4 else capacity
+        self._leaf0 = capacity // (4 if capacity >= _UNSTORED_QUADS_FROM else 2 if capacity >= 4 else 1)
         self._depth = capacity.bit_length() - 1
         self._nodes = np.zeros(self._leaf0 + capacity, dtype=np.float64)
         self._view = memoryview(self._nodes)  # shares _nodes' buffer; reads give floats
@@ -223,7 +229,7 @@ class WeightedVectorTree:
         return abs(self._view[1])  # at n = 1 the root is the one signed leaf
 
     def _node(self, v: int) -> float:
-        """Weight of heap node v: stored, ``|leaf|``, or (on the level not stored) its leaf pair's sum."""
+        """Weight of heap node v: stored, ``|leaf|``, or (on a level not stored) its children's sum."""
         if self._pending:
             self._settle()
         if v < self._leaf0:
@@ -309,22 +315,29 @@ class WeightedVectorTree:
         """
         nodes = self._view
         shift = self._capacity - self._leaf0  # heap leaf v is slot v - shift
+        # the steps that read the leaves: onto the leaves and the one or two levels not stored
+        low = levels if levels < 3 else (self._capacity // self._leaf0).bit_length()
         while True:
             node = start
             u = rng.random() * weight
-            for _ in range(levels - 2):
+            for _ in range(levels - low):
                 node += node  # the left child
                 left = nodes[node]
                 if u >= left:
                     u -= left
                     node += 1
-            leaf = (node << (2 if levels >= 2 else levels)) - shift  # the first leaf below
-            if levels >= 2:  # the level not stored: the left child is a leaf pair
+            leaf = (node << low) - shift  # the first leaf below
+            if low == 3:  # the quad level not stored: the left child is a leaf quad, summed as a build does
+                left = (abs(nodes[leaf]) + abs(nodes[leaf + 1])) + (abs(nodes[leaf + 2]) + abs(nodes[leaf + 3]))
+                if u >= left:
+                    u -= left
+                    leaf += 4
+            if low >= 2:  # the pair level not stored: the left child is a leaf pair
                 left = abs(nodes[leaf]) + abs(nodes[leaf + 1])
                 if u >= left:
                     u -= left
                     leaf += 2
-            if levels:
+            if low:
                 left = abs(nodes[leaf])
                 if u >= left:
                     u -= left
@@ -344,7 +357,8 @@ class WeightedVectorTree:
         rule one draw at a time.  The caller hands over ``start`` (heap nodes
         on one level), which is walked in place, and ``weight``, the start
         nodes' values (an array, or one float for one start node), checked to
-        be positive.  The last two levels read the leaves, as weights ``|leaf|``.
+        be positive.  The steps onto the leaves and onto the levels not stored
+        read the leaves, as weights ``|leaf|`` summed pairwise as a build does.
 
         ``mode="clip"`` skips the bounds check and buffered output of
         ``mode="raise"`` and never clips: a start node ``levels`` levels up,
@@ -353,24 +367,31 @@ class WeightedVectorTree:
         """
         nodes, cap = self._nodes, self._capacity
         leaves = nodes[self._leaf0 :]  # heap leaf v is leaves[v - capacity]
+        low = levels if levels < 3 else (cap // self._leaf0).bit_length()  # as in _descend
         idx = start
         u = rng.random(idx.size)
         u *= weight
         left = _apart(idx)
         go_right = np.empty(u.size, dtype=bool)
-        for _ in range(levels - 2):
+        for _ in range(levels - low):
             idx += idx  # the left child
             np.take(nodes, idx, out=left, mode="clip")
             idx += _go_right(u, left, go_right)
-        idx <<= min(levels, 2)
+        idx <<= low
         idx -= cap  # the entry index of the first leaf below
-        if levels >= 2:  # the level not stored: the left child is a leaf pair
+        if low == 3:  # the quad level not stored: the left child is a leaf quad, gathered as one row
+            quad = np.take(leaves.reshape(-1, 4), idx >> 2, axis=0, out=np.empty((idx.size, 4)), mode="clip")
+            np.abs(quad, out=quad)
+            np.add(quad[:, 0], quad[:, 1], out=left)
+            left += np.add(quad[:, 2], quad[:, 3], out=quad[:, 2])
+            idx += _go_right(u, left, go_right) * np.uint8(4)
+        if low >= 2:  # the pair level not stored: the left child is a leaf pair
             right = np.take(leaves[1:], idx, out=_apart(idx), mode="clip")
             np.abs(np.take(leaves, idx, out=left, mode="clip"), out=left)
             np.add(left, np.abs(right, out=right), out=left)
             idx += _go_right(u, left, go_right)
             idx += go_right
-        if levels:
+        if low:
             np.abs(np.take(leaves, idx, out=left, mode="clip"), out=left)
             idx += _go_right(u, left, go_right)
         np.take(leaves, idx, out=left, mode="clip")
@@ -441,6 +462,10 @@ class WeightedVectorTree:
                 leaf = leaf0 + i - (i & 3)
                 mag = (abs(nodes[leaf]) + abs(nodes[leaf + 1])) + (abs(nodes[leaf + 2]) + abs(nodes[leaf + 3]))
                 idx = (leaf + shift) >> 2
+                if idx >= leaf0:  # nor is the grandparent: add the sibling quad's sum
+                    leaf = leaf0 + (i ^ 4) - (i & 3)
+                    mag += (abs(nodes[leaf]) + abs(nodes[leaf + 1])) + (abs(nodes[leaf + 2]) + abs(nodes[leaf + 3]))
+                    idx >>= 1
                 nodes[idx] = mag
                 while idx > 1:
                     mag += nodes[idx ^ 1]  # the sibling
@@ -451,15 +476,16 @@ class WeightedVectorTree:
     def _children(self, from_root: bool, spare: np.ndarray):
         """Yield ``(a, b, children)`` level by level: runs of stored nodes ``a .. b - 1``
         and their children's values, interleaved.  Runs are at most ``_BLOCK`` long,
-        half that on the lowest stored level, whose children's weights are written to
-        ``spare`` (twice a block long): ``|leaf|``, or below the level not stored,
-        leaf-pair sums ``|left| + |right|``."""
+        half that on the lowest stored level (a quarter above two levels not stored),
+        whose children's weights are written to ``spare`` (twice a block long): ``|leaf|``,
+        or below the levels not stored, leaf-pair sums ``|l0| + |l1|`` or the sums of
+        two of those."""
         nodes, leaf0 = self._nodes, self._leaf0
-        shift = self._capacity - leaf0
+        shift, fan = self._capacity - leaf0, self._capacity // leaf0  # fan: the leaves below a child
         sizes = [1 << k for k in range(leaf0.bit_length() - 1)]
         for size in sizes if from_root else sizes[::-1]:
             lowest = 2 * size >= leaf0
-            step = _BLOCK // 2 if lowest else _BLOCK
+            step = _BLOCK // max(2, fan) if lowest else _BLOCK
             for a in range(size, 2 * size, step):
                 b = min(a + step, 2 * size)
                 k = 2 * (b - a)
@@ -468,14 +494,16 @@ class WeightedVectorTree:
                 elif not shift:
                     yield a, b, np.abs(nodes[2 * a : 2 * b], out=spare[:k])
                 else:
-                    leaves = nodes[4 * a - shift : 4 * b - shift]
-                    pairs = np.abs(leaves[::2], out=spare[:k])
-                    pairs += np.abs(leaves[1::2], out=spare[k : 2 * k])
+                    leaves, m = nodes[2 * fan * a - shift : 2 * fan * b - shift], fan * k // 2  # m leaf pairs
+                    pairs = np.abs(leaves[::2], out=spare[:m])
+                    pairs += np.abs(leaves[1::2], out=spare[m : 2 * m])
+                    if fan == 4:  # the quad level not stored too: a child sums two pairs
+                        pairs = np.add(pairs[::2], pairs[1::2], out=spare[m : m + k])
                     yield a, b, pairs
 
     def rebuild(self) -> None:
         """Recompute every stored internal sum bottom-up from the leaves, a block at a time."""
-        for a, b, children in self._children(False, np.empty(min(2 * _BLOCK, 2 * self._leaf0))):
+        for a, b, children in self._children(False, np.empty(min(2 * _BLOCK, self._capacity))):
             np.add(children[::2], children[1::2], out=self._nodes[a:b])
 
     def audit(self) -> None:

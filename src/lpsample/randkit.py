@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ptree import _check_exponent
+
 __all__ = [
     "DistributionSpec",
     "MomentProfile",
@@ -210,7 +212,6 @@ def moment_profile(spec: DistributionSpec, p) -> MomentProfile | list[MomentProf
     sigma2 = spec.variance()
     profiles = []
     for q in grid.ravel().tolist():
-        if not math.isfinite(q) or q < 1.0:
-            raise ValueError(f"exponent p must be finite and >= 1, got {q}")
+        _check_exponent(q)
         profiles.append(MomentProfile(q, _abs_moment(spec, q), gaussian_abs_moment(sigma2, q)))
     return profiles if grid.ndim else profiles[0]

@@ -334,5 +334,7 @@ def synthetic_sparse(
     if not 0.0 < density <= 1.0:
         raise ValueError("density must lie in (0, 1]")
     count = int(rng.binomial(m * n, density))
+    if count >= 1 << 56:  # 16 bytes each, past any address space; NumPy 2.4 choice crashes from 2^59
+        raise MemoryError(f"{count} nonzeros do not fit in memory")
     flat = np.sort(rng.choice(m * n, size=count, replace=False, shuffle=False))
     return SparseMatrix(m, n, flat // n, flat % n, spec.sample(rng, count))

@@ -162,12 +162,15 @@ def full_heap(tree):
     Slot 0 is zero, node v has children ``2v`` and ``2v + 1``, and the leaves
     are slots ``capacity ..``, each the magnitude ``|x_i|**p``.  The tree stores
     the nodes below ``_leaf0`` and the signed leaves ``sign(x_i) * |x_i|**p``;
-    the level it leaves out is restored as its leaf pairs' sums.
+    the levels it leaves out are restored bottom up, each node its children's sum.
     """
     cap, leaf0, nodes = tree._capacity, tree._leaf0, tree._nodes
     heap = np.zeros(2 * cap)
     heap[:leaf0], heap[cap:] = nodes[:leaf0], np.abs(nodes[leaf0:])
-    heap[leaf0:cap] = heap[2 * leaf0 :: 2] + heap[2 * leaf0 + 1 :: 2]
+    level = cap // 2
+    while level >= leaf0:  # nodes level .. 2 * level - 1 are not stored
+        heap[level : 2 * level] = heap[2 * level : 4 * level : 2] + heap[2 * level + 1 : 4 * level : 2]
+        level //= 2
     return heap
 
 

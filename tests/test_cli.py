@@ -683,6 +683,8 @@ BAD_FLAGS = [
     ["inner-product", "--synthetic", "m=4,n=0,density=0.5,dist=normal:0,1"],
     ["lincomb", "--synthetic", "m=4,n=4,density=0,dist=normal:0,1", "--n-users", 1],
     ["lincomb", "--synthetic", "m=4,n=4,density=1.5,dist=normal:0,1", "--n-users", 1],
+    ["inner-product", "--synthetic", "m=100000000000,n=100000000000,density=0.3,dist=normal:0,1"],
+    ["inner-product", "--synthetic", f"m=2,n={2**62},density=0.3,dist=normal:0,1"],  # m * n is 2^63
 ]
 
 
@@ -690,7 +692,7 @@ BAD_FLAGS = [
     "argv",
     BAD_FLAGS,
     ids=["n-0", "n-negative", "n-list-0", "n-users-0", "synthetic-m-0", "synthetic-n-0", "synthetic-density-0",
-         "synthetic-density-above-1"],
+         "synthetic-density-above-1", "synthetic-size-beyond-int64", "synthetic-size-2-to-the-63"],
 )
 def test_bad_required_flag_is_usage_error(argv, ratings_file, tmp_path):
     out_dir = tmp_path / "out"
@@ -699,6 +701,28 @@ def test_bad_required_flag_is_usage_error(argv, ratings_file, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(argv + ["--out", out_dir / "out"])
     assert exc.value.code == EXIT_USAGE
+    assert list(out_dir.iterdir()) == []
+
+
+# each asks for more than a 48-bit address space holds, so nothing is allocated
+TOO_LARGE = [
+    ["inner-product", "--synthetic", "m=30,n=40,density=0.3,dist=normal:0,1", "--pairs", 1, "--min-overlap", 1,
+     "--epsilon", 1e-7],
+    ["ratio-table", "--dists", "normal:0,1", "--n-list", 2, "--m", 10**16],
+    ["lincomb", "--synthetic", "m=5,n=10,density=0.5,dist=uniform:1,5", "--n-users", 1,
+     "--samples-per-trial", 10**16],
+    ["inner-product", "--synthetic", f"m=7,n={(2**63 - 1) // 7},density=0.3,dist=normal:0,1"],  # the largest m * n
+]
+
+
+@pytest.mark.parametrize("argv", TOO_LARGE, ids=["inner-product-epsilon", "ratio-table-m", "lincomb-samples",
+                                                 "synthetic-nonzeros"])
+def test_request_too_large_for_memory_is_data_error(argv, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert run(argv + ["--out", out_dir / "out"]) == EXIT_DATA
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory: ")
     assert list(out_dir.iterdir()) == []
 
 

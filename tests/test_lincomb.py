@@ -81,6 +81,13 @@ class TestExactM:
         with pytest.raises(ValueError, match="not finite"):
             exact_m(np.eye(100), np.ones(100), [2.0, 200.0])
 
+    @pytest.mark.parametrize("p", [0.5, 0.0, -1.0, math.nan, math.inf])
+    def test_exponent_must_be_finite_and_at_least_one(self, p):
+        # the rule trees and moment profiles apply; 0.5 would give M < 1
+        for grid in (p, [1.0, p, 2.0]):
+            with pytest.raises(ValueError, match="exponent p must be finite and >= 1"):
+                exact_m(np.eye(2), [1.0, 1.0], grid)
+
     def test_grid_equals_one_p_oracle_bit_for_bit(self):
         rng = stream(56, 0)
         checked = 0

@@ -1,11 +1,14 @@
 import hashlib
 import math
 import tracemalloc
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from lpsample import ptree
 from lpsample.estimators import estimate_inner_product, estimate_trace_inner_product
 from lpsample.lincomb import CombinationSampler
 from lpsample.ptree import (
@@ -29,6 +32,15 @@ from oracles import (
     leaf_signs,
     tv_distance,
 )
+
+
+def unstored_quads_from(capacity):
+    """Build trees of ``capacity`` leaf slots or more (at least 8) without their leaf-quad level."""
+    return mock.patch.object(ptree, "_UNSTORED_QUADS_FROM", capacity)
+
+
+# the default layout, then one that leaves the quad level out of every tree of 8 slots or more
+LAYOUTS = (ptree._UNSTORED_QUADS_FROM, 8)
 
 
 class TestBuild:
@@ -269,6 +281,17 @@ class TestInverseCdfDescent:
         rng = stream(52, key)
         got = [mt.sample_row(j, rng) for j in cols.tolist()]
         assert got == mt.sample_rows(cols, stream(52, key)).tolist()
+
+    def test_a_quad_reads_as_a_build_sums_it(self):
+        # (1 + 0) + (2^-53 + 2^-53) is 1 + 2^-52, but 1 summed left to right; the
+        # root is 2, so a uniform of 0.5 scales to 1.0 and must stay in the first quad
+        values = [1.0, 0.0, 2.0**-53, 2.0**-53, 1.0, 0.0, 0.0, 0.0]
+        for cutoff in LAYOUTS:
+            with unstored_quads_from(cutoff):
+                tree = build_vector_tree(values, 1)
+                rng = SimpleNamespace(random=lambda size=None: 0.5 if size is None else np.full(size, 0.5))
+                assert tree.query_pnorm_power() == 2.0 and tree._node(2) == 1.0 + 2.0**-52
+                assert tree.sample_index(rng) == 2 and tree.sample_indices(rng, 3).tolist() == [2, 2, 2]
 
     def test_edge_uniforms_are_redrawn_off_zero_leaves(self):
         # entries 1, 3, 4 are zero and leaves 5..7 are padding; a uniform of
@@ -545,18 +568,21 @@ class TestPendingWrites:
                  zip(rng.integers(0, values.size, count), rng.uniform(-3.0, 3.0, count).tolist())]
         for at, v in steps:
             values[at] = v
-        fresh = build(values, p)
-        fresh_bytes = (fresh._tree if matrix else fresh)._nodes.tobytes()
-        for name, read in reads.items():
-            tree = build(base, p)
-            for at, v in steps:
-                tree.update_entry(*(int(c) for c in at), v)
-            vt = tree._tree if matrix else tree
-            if vt._capacity >= 4:
-                assert (len(vt._pending) < vt._rebuild_at) == walk
-            got, want = read(tree, stream(67, 0)), read(fresh, stream(67, 0))
-            assert _same(got, want), name
-            assert not vt._pending and vt._nodes.tobytes() == fresh_bytes, name
+        first = {}  # each read's result in the first layout
+        for cutoff in LAYOUTS:
+            with unstored_quads_from(cutoff):
+                fresh = build(values, p)
+                fresh_bytes = (fresh._tree if matrix else fresh)._nodes.tobytes()
+                for name, read in reads.items():
+                    tree = build(base, p)
+                    for at, v in steps:
+                        tree.update_entry(*(int(c) for c in at), v)
+                    vt = tree._tree if matrix else tree
+                    if vt._capacity >= 4:
+                        assert (len(vt._pending) < vt._rebuild_at) == walk
+                    got, want = read(tree, stream(67, 0)), read(fresh, stream(67, 0))
+                    assert _same(got, want) and _same(got, first.setdefault(name, got)), name
+                    assert not vt._pending and vt._nodes.tobytes() == fresh_bytes, name
 
 
 class TestQuery:
@@ -642,27 +668,47 @@ class TestInvariants:
         assert tree.query_pnorm_power() == pytest.approx(expected_root, rel=1e-9, abs=1e-12)
 
     def test_audit_detects_corruption(self):
-        tree = build_vector_tree([1, 2, 3, 4], 1)
-        tree._nodes[1] *= 1.5  # the root
-        with pytest.raises(TreeAuditError):
-            tree.audit()
+        for cutoff in LAYOUTS:
+            with unstored_quads_from(cutoff):
+                tree = build_vector_tree([1, 2, 3, 4], 1)
+                tree._nodes[1] *= 1.5  # the root
+                with pytest.raises(TreeAuditError):
+                    tree.audit()
 
     @pytest.mark.parametrize("node", [1, 2, 300, 700])  # 700: on the lowest stored level
     def test_audit_detects_a_sum_one_ulp_off(self, node):
-        tree = build_vector_tree(stream(94, 0).normal(size=1500), 1.5)
-        tree.audit()
-        tree._nodes[node] = np.nextafter(tree._nodes[node], math.inf)
-        # found at its parent, unless the parent's sum rounds the ulp away
-        with pytest.raises(TreeAuditError, match=f"node ({node // 2}|{node}) holds .* but its children sum to"):
+        for cutoff in LAYOUTS:
+            with unstored_quads_from(cutoff):
+                tree = build_vector_tree(stream(94, 0).normal(size=1500), 1.5)
+                tree.audit()
+                v = node if node < tree._leaf0 else node // 2  # the lowest stored level is 256 .. 511 then
+                tree._nodes[v] = np.nextafter(tree._nodes[v], math.inf)
+                # found at its parent, unless the parent's sum rounds the ulp away
+                with pytest.raises(TreeAuditError, match=f"node ({v // 2}|{v}) holds .* but its children sum to"):
+                    tree.audit()
+
+    def test_audit_names_an_octet_one_ulp_off(self):
+        # 2^22 slots: the octets are the lowest stored level, checked against leaf-quad sums
+        tree = build_vector_tree(stream(94, 1).normal(size=(1 << 22) - 9), 1.5)
+        assert tree._leaf0 == tree._capacity // 4
+        v = tree._leaf0 - 5
+        tree._nodes[v] = np.nextafter(tree._nodes[v], math.inf)
+        a = v // 2
+        while a:  # its ancestors agree with it: the octet alone disagrees with its children
+            tree._nodes[a] = tree._nodes[2 * a] + tree._nodes[2 * a + 1]
+            a //= 2
+        with pytest.raises(TreeAuditError, match=f"node {v} holds .* but its children sum to"):
             tree.audit()
 
     @pytest.mark.parametrize("n", [1, 4, 5])
     def test_audit_detects_nonzero_slot_zero(self, n):
-        tree = build_vector_tree(np.arange(1, n + 1.0), 1)
-        tree.audit()
-        tree._nodes[0] = 1.0
-        with pytest.raises(TreeAuditError):
-            tree.audit()
+        for cutoff in LAYOUTS:
+            with unstored_quads_from(cutoff):
+                tree = build_vector_tree(np.arange(1, n + 1.0), 1)
+                tree.audit()
+                tree._nodes[0] = 1.0
+                with pytest.raises(TreeAuditError):
+                    tree.audit()
 
     @pytest.mark.parametrize("leaf,value,message", [
         (None, math.nan, "finite and nonnegative"),  # an internal node
@@ -673,11 +719,13 @@ class TestInvariants:
         (4500, -0.0, "-0.0"),  # a leaf in the third block
     ])
     def test_audit_messages_across_leaf_blocks(self, leaf, value, message):
-        tree = build_vector_tree(stream(93, 5).normal(size=5000), 1.5)  # 3 leaf blocks, then padding
-        tree.audit()
-        tree._nodes[2 if leaf is None else tree._leaf0 + leaf] = value
-        with pytest.raises(TreeAuditError, match=message):
-            tree.audit()
+        for cutoff in LAYOUTS:
+            with unstored_quads_from(cutoff):
+                tree = build_vector_tree(stream(93, 5).normal(size=5000), 1.5)  # 3 leaf blocks, then padding
+                tree.audit()
+                tree._nodes[2 if leaf is None else tree._leaf0 + leaf] = value
+                with pytest.raises(TreeAuditError, match=message):
+                    tree.audit()
 
     @pytest.mark.parametrize("size", [1, 7, 65536])
     def test_gather_output_sits_half_a_page_from_its_indices(self, size):
@@ -724,38 +772,41 @@ class TestInvariants:
            st.sampled_from([1.0, 1.5, 2.0, 3.0]))
     def test_stored_nodes_and_descents_match_the_heap_oracle(self, data, m, n, matrix, p):
         # after updates, the stored nodes are those of a heap summed from the
-        # leaves, every node read through the tree (on the level not stored too)
-        # is the heap's, and a descent from any node, on the leaves and on the level
-        # not stored too (where stride-1 and stride-2 column roots sit), walks the
-        # heap step for step
+        # leaves, every node read through the tree (on the levels not stored too)
+        # is the heap's, and a descent from any node, on the leaves and on the levels
+        # not stored too (where stride-1, 2 and 4 column roots sit), walks the heap
+        # step for step; in both layouts
         shape = (m, n) if matrix else (m * n,)
         value = st.floats(-50, 50, allow_nan=False)
         values = np.array(data.draw(st.lists(value, min_size=m * n, max_size=m * n))).reshape(shape)
-        tree = (build_matrix_tree if matrix else build_vector_tree)(values, p)
-        vt = tree._tree if matrix else tree
-        for k, x in data.draw(st.lists(st.tuples(st.integers(0, m * n - 1), value), max_size=30)):
-            tree.update_entry(*(int(c) for c in np.unravel_index(k, shape)), x)
-        vt.query_pnorm_power()
-        cap, leaf0 = vt._capacity, vt._leaf0
-        heap = heap_from_leaves(leaf_magnitudes(vt), cap)
-        assert vt._nodes[:leaf0].tobytes() == heap[:leaf0].tobytes()
-        assert full_heap(vt).tobytes() == heap.tobytes()
-        assert [vt._node(v) for v in range(1, 2 * cap)] == heap[1:].tolist()
-        for level in range(vt._depth + 1):
-            nodes, levels = np.arange(1 << level, 2 << level), vt._depth - level
-            assert vt._node_values(nodes).tolist() == heap[nodes].tolist()
-            for v in nodes[heap[nodes] > 0.0].tolist():
-                u = stream(54, v).random(16).tolist()
-                expected = np.array([heap_descent(heap, v, levels, x) for x in u]) - cap
-                hit = heap[expected + cap] > 0.0  # a draw on a zero leaf is made again
-                got = vt._descend_many(stream(54, v), np.full(16, v), levels, vt._node(v))
-                np.testing.assert_array_equal(got[hit], expected[hit])
-                assert np.all(heap[got + cap] > 0.0) and np.all(got >> levels == v - (cap >> levels))
-                if hit[0]:
-                    assert vt._descend(stream(54, v), v, levels, vt._node(v)) == expected[0]
-        if matrix:
-            roots = np.arange(tree._column_root, tree._column_root + n)
-            assert tree.column_pnorm_powers().tolist() == heap[roots].tolist()
+        steps = data.draw(st.lists(st.tuples(st.integers(0, m * n - 1), value), max_size=30))
+        for cutoff in LAYOUTS:
+            with unstored_quads_from(cutoff):
+                tree = (build_matrix_tree if matrix else build_vector_tree)(values, p)
+                vt = tree._tree if matrix else tree
+                for k, x in steps:
+                    tree.update_entry(*(int(c) for c in np.unravel_index(k, shape)), x)
+                vt.query_pnorm_power()
+                cap, leaf0 = vt._capacity, vt._leaf0
+                heap = heap_from_leaves(leaf_magnitudes(vt), cap)
+                assert vt._nodes[:leaf0].tobytes() == heap[:leaf0].tobytes()
+                assert full_heap(vt).tobytes() == heap.tobytes()
+                assert [vt._node(v) for v in range(1, 2 * cap)] == heap[1:].tolist()
+                for level in range(vt._depth + 1):
+                    nodes, levels = np.arange(1 << level, 2 << level), vt._depth - level
+                    assert vt._node_values(nodes).tolist() == heap[nodes].tolist()
+                    for v in nodes[heap[nodes] > 0.0].tolist():
+                        u = stream(54, v).random(16).tolist()
+                        expected = np.array([heap_descent(heap, v, levels, x) for x in u]) - cap
+                        hit = heap[expected + cap] > 0.0  # a draw on a zero leaf is made again
+                        got = vt._descend_many(stream(54, v), np.full(16, v), levels, vt._node(v))
+                        np.testing.assert_array_equal(got[hit], expected[hit])
+                        assert np.all(heap[got + cap] > 0.0) and np.all(got >> levels == v - (cap >> levels))
+                        if hit[0]:
+                            assert vt._descend(stream(54, v), v, levels, vt._node(v)) == expected[0]
+                if matrix:
+                    roots = np.arange(tree._column_root, tree._column_root + n)
+                    assert tree.column_pnorm_powers().tolist() == heap[roots].tolist()
 
 
 def traced_peak(build):
@@ -792,6 +843,14 @@ class TestBuildMemory:
         assert [s for s in tree.__slots__ if s not in ("_nodes", "_view") and np.size(getattr(tree, s)) > 1] == []
         assert peak <= tree._nodes.nbytes + 64 * 1024
         assert tree._leaves.tobytes() == (x + 0.0).tobytes()
+
+    def test_p1_build_of_2_to_the_22_slots_keeps_10_bytes_a_slot(self):
+        # from _UNSTORED_QUADS_FROM slots the leaf-quad level is not stored either
+        x = stream(93, 6).normal(size=1 << 22)
+        tree, peak = traced_peak(lambda: build_vector_tree(x, 1.0))
+        assert tree._capacity == ptree._UNSTORED_QUADS_FROM
+        assert tree._nodes.nbytes == 10 * 2**22
+        assert peak <= tree._nodes.nbytes + 64 * 1024
 
     def test_rebuild_allocates_one_block(self):
         tree = build_vector_tree(stream(93, 4).normal(size=1 << 20), 1.5)
